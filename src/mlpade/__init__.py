@@ -43,14 +43,7 @@ from .pade import (
     solve_hermite_pade,
 )
 from .params import MLParams, Regime, classify
-from .reference import (
-    DEFAULT_CONFIG,
-    OracleConfig,
-    ml_asymptotic,
-    ml_closed_form,
-    ml_oracle,
-    ml_taylor,
-)
+from .reference import ml_asymptotic, ml_closed_form, ml_oracle, ml_taylor
 
 __version__ = "0.1.0"
 
@@ -72,8 +65,6 @@ __all__ = [
     "inv_pade",
     "inv_pade_from_approx",
     # reference oracle
-    "OracleConfig",
-    "DEFAULT_CONFIG",
     "ml_taylor",
     "ml_asymptotic",
     "ml_closed_form",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .pade import snapped_rgamma
 from .params import classify
-from .reference import DEFAULT_CONFIG, OracleConfig, ml_oracle
+from .reference import ml_oracle
 from .special import gamma, rgamma
 
 __all__ = [
@@ -71,15 +71,10 @@ def _relax_prefactor(alpha: float, t: float, prefactor: str) -> float:
     return t ** (-alpha) if prefactor == "paper" else t ** (alpha - 1.0)
 
 
-def relaxation_exact(
-    spec: RelaxationSpec,
-    t: float,
-    cfg: OracleConfig = DEFAULT_CONFIG,
-    prefactor: str = "paper",
-) -> float:
+def relaxation_exact(spec: RelaxationSpec, t: float, prefactor: str = "paper") -> float:
     _check_t(t)
     params = classify(spec.alpha, spec.alpha)
-    value = ml_oracle(params, spec.lam * t**spec.alpha, cfg)
+    value = ml_oracle(params, spec.lam * t**spec.alpha)
     return spec.c1 * _relax_prefactor(spec.alpha, t, prefactor) * value
 
 
@@ -101,13 +96,11 @@ def relaxation_pade(spec: RelaxationSpec, t: float, prefactor: str = "paper") ->
     return value * t ** (2.0 * a - 1.0)
 
 
-def two_term_exact(
-    spec: TwoTermSpec, t: float, cfg: OracleConfig = DEFAULT_CONFIG
-) -> float:
+def two_term_exact(spec: TwoTermSpec, t: float) -> float:
     _check_t(t)
     a, b = spec.alpha, spec.beta
     params = classify(b - a, b)
-    return (spec.c2 + 1.0) * t ** (b - 1.0) * ml_oracle(params, t ** (b - a), cfg)
+    return (spec.c2 + 1.0) * t ** (b - 1.0) * ml_oracle(params, t ** (b - a))
 
 
 def two_term_coeffs(spec: TwoTermSpec) -> tuple[float, float]:

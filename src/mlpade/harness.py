@@ -15,7 +15,7 @@ from .errors import BracketError, DomainError
 from .inverse import inv_pade_from_approx
 from .pade import build_approx, eval_approx
 from .params import MLParams
-from .reference import DEFAULT_CONFIG, OracleConfig, ml_oracle
+from .reference import ml_oracle
 from .special import rgamma
 
 __all__ = [
@@ -69,24 +69,19 @@ class ErrorReport:
     max_rel_error: float | None = None
 
 
-def error_scan(
-    params: MLParams, grid: GridSpec = DEFAULT_GRID, cfg: OracleConfig = DEFAULT_CONFIG
-) -> ErrorReport:
+def error_scan(params: MLParams, grid: GridSpec = DEFAULT_GRID) -> ErrorReport:
     """Tabulate |approximant - oracle| over the grid."""
     approx = build_approx(params)
     samples = []
     for x in grid.points():
         a = eval_approx(approx, x)
-        try:
-            o = ml_oracle(params, x, cfg)
-        except Exception as exc:
-            raise type(exc)(f"{exc} (at grid point x={x!r})") from exc
+        o = ml_oracle(params, x)
         samples.append((x, a, o, abs(a - o)))
     worst = max(samples, key=lambda s: s[3])
     return ErrorReport(params, grid, worst[3], worst[0], samples)
 
 
-def _bisect_inverse(params, y, cfg, y_tol=1e-10):
+def _bisect_inverse(params, y, y_tol=1e-10):
     """True inverse of the oracle at y, by bracketing bisection."""
     lo, y_lo = 0.0, rgamma(params.beta)
     if y > y_lo:
@@ -94,18 +89,18 @@ def _bisect_inverse(params, y, cfg, y_tol=1e-10):
     if y == y_lo:
         return 0.0
     hi = 1.0
-    y_hi = ml_oracle(params, hi, cfg)
+    y_hi = ml_oracle(params, hi)
     while y_hi > y:
         lo, y_lo = hi, y_hi
         hi *= 4.0
         if hi > 1e15:
             raise BracketError(f"could not bracket the inverse of y={y!r}")
-        y_hi = ml_oracle(params, hi, cfg)
+        y_hi = ml_oracle(params, hi)
     for _ in range(200):
         if y_lo - y_hi <= y_tol or (hi - lo) <= 1e-15 * (1.0 + hi):
             break
         mid = 0.5 * (lo + hi)
-        y_mid = ml_oracle(params, mid, cfg)
+        y_mid = ml_oracle(params, mid)
         if y_mid > y:
             lo, y_lo = mid, y_mid
         else:
@@ -113,9 +108,7 @@ def _bisect_inverse(params, y, cfg, y_tol=1e-10):
     return 0.5 * (lo + hi)
 
 
-def inverse_error_scan(
-    params: MLParams, y_grid: GridSpec, cfg: OracleConfig = DEFAULT_CONFIG
-) -> ErrorReport:
+def inverse_error_scan(params: MLParams, y_grid: GridSpec) -> ErrorReport:
     """Compare the algebraic inverse against bisection on the oracle.
 
     Grid points are interpreted on the y axis and must lie inside
@@ -132,7 +125,7 @@ def inverse_error_scan(
             continue
         y = min(y, hi)
         x_alg = inv_pade_from_approx(approx, y)
-        x_true = _bisect_inverse(params, y, cfg)
+        x_true = _bisect_inverse(params, y)
         err = abs(x_alg - x_true)
         samples.append((y, x_alg, x_true, err))
         max_rel = max(max_rel, err / (1.0 + x_true))

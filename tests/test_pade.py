@@ -24,6 +24,9 @@ from mlpade.special import gamma, rgamma
 PI = math.pi
 SQRT_PI = math.sqrt(math.pi)
 
+# diagonal alpha above which the denominator has a nonnegative real root
+ALPHA_STAR = 0.6512075036295607
+
 # coefficient grid for the cross-construction and matching-property checks
 GRID_ALPHAS = [round(0.1 * k, 1) for k in range(1, 10)]
 
@@ -199,6 +202,20 @@ def test_diagonal_construction_fails_when_denominator_has_root():
     # nonnegative real root and construction must refuse
     with pytest.raises(ConstructionError):
         build_approx(classify(0.75, 0.75))
+    # the threshold alpha* is the root of d1^2 = 4 d2 for the diagonal pair
+    build_approx(classify(0.6512, 0.6512))
+    with pytest.raises(ConstructionError):
+        build_approx(classify(0.6513, 0.6513))
+
+    def disc(a):
+        d1 = 2.0 * gamma(1.0 - a) ** 2 * snapped_rgamma(1.0 - 2.0 * a) / gamma(1.0 + a)
+        return d1 * d1 - 4.0 * gamma(1.0 - a) / gamma(1.0 + a)
+
+    lo, hi = 0.6, 0.7
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if disc(mid) < 0.0 else (lo, mid)
+    assert abs(lo - ALPHA_STAR) <= 1e-12
 
 
 def test_invalid_rational_rejected():

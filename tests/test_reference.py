@@ -1,14 +1,17 @@
 """Tests for the high-accuracy reference evaluator."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mlpade
 from mlpade import (
     DomainError,
     NonConvergenceError,
-    OracleConfig,
     classify,
     ml_asymptotic,
     ml_closed_form,
@@ -16,6 +19,7 @@ from mlpade import (
     ml_taylor,
 )
 from mlpade.special import erfcx, rgamma
+from talbot_reference import ml_talbot
 
 # values frozen from an independent 60-digit mpmath series summation
 FROZEN = {
@@ -28,16 +32,6 @@ FROZEN = {
 }
 
 CLOSED_FORM_PAIRS = [(0.5, 1.5), (0.5, 1.0), (0.5, 0.5), (1.0, 2.0), (1.0, 1.0)]
-
-
-def test_config_validation():
-    with pytest.raises(DomainError):
-        OracleConfig(taylor_cutoff=10.0, asym_cutoff=5.0)
-    with pytest.raises(DomainError):
-        OracleConfig(max_terms=3)
-    with pytest.raises(DomainError):
-        OracleConfig(term_tol=1e-3)
-    OracleConfig()  # defaults are valid
 
 
 def test_taylor_at_origin():
@@ -158,3 +152,52 @@ def test_oracle_mid_range_continuity():
     vals = np.array([ml_oracle(params, float(x)) for x in xs])
     ratios = vals[1:] / vals[:-1]
     assert np.all(ratios > 0.8) and np.all(ratios < 1.0 + 1e-12)
+
+
+def test_taylor_refuses_large_terms_and_agrees_where_it_returns():
+    # at (0.3, 0.9), x = 2 the terms reach ~e^10: cancellation would eat the
+    # double-precision sum, so it refuses instead of returning a rough value
+    with pytest.raises(NonConvergenceError):
+        ml_taylor(classify(0.3, 0.9), 2.0)
+    for a, b in [(0.3, 0.9), (0.7, 1.3)]:
+        params = classify(a, b)
+        for x in np.linspace(0.0, 1.0, 41):
+            assert abs(ml_taylor(params, float(x)) - ml_oracle(params, float(x))) <= 1e-10
+
+
+def test_talbot_reference_matches_closed_forms():
+    for a, b in CLOSED_FORM_PAIRS:
+        for x in (0.03, 0.7, 6.0):
+            want = ml_closed_form(classify(a, b), x)
+            assert ml_talbot(a, b, x) == pytest.approx(want, rel=1e-12, abs=1e-14), (a, b, x)
+
+
+def test_oracle_matches_independent_talbot_reference():
+    # below the asymptotic crossover x**(1/a) = 40, across the whole alpha
+    # range, including alpha <= 0.1 and alpha = 1
+    rng = np.random.default_rng(20261018)
+    alphas = np.concatenate([rng.uniform(0.005, 0.1, 6), rng.uniform(0.1, 1.0, 10), [1.0]])
+    cases = [(0.05, 0.5, 1.1), (0.1, 2.0, 1.27)]
+    for a in alphas:
+        b = float(rng.uniform(a, a + 3.0))
+        for t in np.exp(rng.uniform(math.log(1e-2), math.log(40.0), 4)):
+            cases.append((float(a), b, float(t**a)))
+    for a, b, x in cases:
+        got = ml_oracle(classify(a, b), x)
+        assert abs(got - ml_talbot(a, b, x)) <= 1e-10, (a, b, x)
+
+
+def test_oracle_small_alpha_near_crossover():
+    params = classify(0.05, 0.5)
+    assert ml_oracle(params, 1.1) == pytest.approx(0.25483, abs=1e-5)
+    vals = [ml_oracle(params, float(x)) for x in np.linspace(0.5, 5.0, 200)]
+    assert all(0.0 < v <= rgamma(0.5) for v in vals)
+
+
+def test_import_does_not_load_mpmath():
+    src = os.path.dirname(os.path.dirname(mlpade.__file__))
+    r = subprocess.run(
+        [sys.executable, "-c", "import mlpade, sys; assert 'mpmath' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60,
+    )
+    assert r.returncode == 0, r.stderr.decode()
