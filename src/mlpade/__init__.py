@@ -20,7 +20,6 @@ from .fode import (
     TwoTermSpec,
     relaxation_exact,
     relaxation_pade,
-    two_term_coeffs,
     two_term_exact,
     two_term_pade,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "relaxation_pade",
     "two_term_exact",
     "two_term_pade",
-    "two_term_coeffs",
     # error-scan harness
     "GridSpec",
     "ErrorReport",

@@ -33,6 +33,9 @@ __all__ = [
     "snapped_rgamma",
 ]
 
+# alpha* is the root of d1^2 = 4*d2 for alpha = beta
+_DIAGONAL_HINT = "; the diagonal approximant needs alpha <= alpha* = 0.6512075036295607"
+
 # beta - 2*alpha is computed, not input, so floating-point parameter choices
 # that mathematically hit a Gamma pole must snap to it
 _POLE_SNAP_TOL = 1e-12
@@ -83,6 +86,7 @@ class RationalApprox:
             raise ConstructionError(
                 "approximant denominator has a nonnegative real root "
                 f"(d1={self.d1!r}, d2={self.d2!r})"
+                + (_DIAGONAL_HINT if self.regime is Regime.DIAGONAL else "")
             )
 
 
@@ -159,8 +163,9 @@ def build_approx(params: MLParams) -> RationalApprox:
         return RationalApprox(1.0, 0.0, 0.0, 0.0, regime)
     if regime is Regime.DIAGONAL:
         n0 = rgamma(a)
-        d1 = 2.0 * gamma(1.0 - a) ** 2 * snapped_rgamma(1.0 - 2.0 * a) / gamma(1.0 + a)
-        d2 = gamma(1.0 - a) / gamma(1.0 + a)
+        ga1 = a * gamma(a)  # Gamma(1 + a); gives d2 = 2 exactly at a = 1/2
+        d1 = 2.0 * gamma(1.0 - a) ** 2 * snapped_rgamma(1.0 - 2.0 * a) / ga1
+        d2 = gamma(1.0 - a) / ga1
         return RationalApprox(n0, 0.0, d1, d2, regime)
     if regime is Regime.ALPHA_ONE:
         return RationalApprox(

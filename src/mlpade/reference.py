@@ -158,11 +158,15 @@ def ml_closed_form(params: MLParams, x: float) -> float | None:
         if b == 1.0:
             return erfcx(x)
         if b == 1.5:
-            return rgamma(1.5) if x == 0.0 else (1.0 - erfcx(x)) / x
+            if x == 0.0:
+                return rgamma(1.5)
+            if x < 0.5:  # 1 - erfcx(x) without its cancellation
+                return (math.exp(x * x) * math.erf(x) - math.expm1(x * x)) / x
+            return (1.0 - erfcx(x)) / x
         if b == 0.5:
             return rgamma(0.5) - x * erfcx(x)
     if a == 1.0 and b == 2.0:
-        return 1.0 if x == 0.0 else (1.0 - math.exp(-x)) / x
+        return 1.0 if x == 0.0 else -math.expm1(-x) / x
     return None
 
 

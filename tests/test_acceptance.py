@@ -29,11 +29,11 @@ from mlpade import (
     ml_taylor,
     relaxation_pade,
     solve_hermite_pade,
-    two_term_coeffs,
 )
 from mlpade.fode import RelaxationSpec, TwoTermSpec
 from mlpade.pade import snapped_rgamma
 from mlpade.special import gamma, rgamma
+from paper_formulas import two_term_coeffs
 
 PI = math.pi
 SQRT_PI = math.sqrt(math.pi)

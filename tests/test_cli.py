@@ -70,6 +70,14 @@ def test_numerical_failure_exit_code():
     assert r.stdout == ""
 
 
+def test_ode_relaxation_above_alpha_star_fails():
+    # the diagonal approximant has a pole above alpha* = 0.6512
+    r = run("ode", "--relaxation", "--alpha", "0.8")
+    assert r.returncode == 4
+    assert r.stdout == ""
+    assert "alpha*" in r.stderr
+
+
 def test_inverse_domain_exit_code():
     r = run("inverse", "--alpha", "0.5", "--beta", "1", "--y", "2")
     assert r.returncode == 3

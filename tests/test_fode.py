@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mlpade import (
+    ConstructionError,
     DomainError,
     RelaxationSpec,
     TwoTermSpec,
@@ -15,11 +16,11 @@ from mlpade import (
     eval_approx,
     relaxation_exact,
     relaxation_pade,
-    two_term_coeffs,
     two_term_exact,
     two_term_pade,
 )
 from mlpade.special import erfcx, rgamma
+from paper_formulas import relaxation_rational, two_term_coeffs, two_term_rational
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -79,6 +80,18 @@ def test_relaxation_pade_matches_diagonal_approximant(alpha):
     for t in (0.1, 1.0, 10.0):
         want = spec.c1 * t**-alpha * eval_approx(ap, spec.lam * t**alpha)
         assert relaxation_pade(spec, t) == pytest.approx(want, rel=1e-12)
+        assert relaxation_pade(spec, t) == pytest.approx(
+            relaxation_rational(spec, t), rel=1e-12
+        )
+
+
+def test_relaxation_pade_refuses_alpha_above_alpha_star():
+    # above alpha* the diagonal approximant has a pole on the positive axis;
+    # the rational solution must raise, not return a wrong-signed value
+    spec = RelaxationSpec(0.8, 1.0, 1.0)
+    with pytest.raises(ConstructionError, match=r"alpha\* = 0\.6512075036295607"):
+        relaxation_pade(spec, 1.0)
+    assert relaxation_exact(spec, 1.0) == pytest.approx(0.25574, abs=1e-4)
 
 
 def test_relaxation_prefactor_switch():
@@ -149,6 +162,9 @@ def test_two_term_pade_matches_approximant(a, b):
         t = float(t)
         want = (spec.c2 + 1.0) * t ** (b - 1.0) * eval_approx(ap, t ** (b - a))
         assert two_term_pade(spec, t) == pytest.approx(want, rel=1e-12)
+        assert two_term_pade(spec, t) == pytest.approx(
+            two_term_rational(spec, t), rel=1e-12
+        )
 
 
 def test_pade_tracks_exact_solution():

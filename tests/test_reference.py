@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -85,6 +86,19 @@ def test_closed_forms():
 def test_closed_forms_at_zero_equal_rgamma_beta():
     for a, b in CLOSED_FORM_PAIRS:
         assert ml_closed_form(classify(a, b), 0.0) == rgamma(b)
+
+
+@pytest.mark.parametrize("x", [1e-12, 1e-9, 1e-6, 1e-4, 0.49, 0.51, 1.0])
+def test_closed_forms_free_of_small_x_cancellation(x):
+    # (1/2, 3/2) is (1 - erfcx(x))/x and (1, 2) is (1 - e^-x)/x: both must
+    # keep full relative accuracy as x -> 0
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x)
+        half = (1 - mpmath.exp(xm * xm) * mpmath.erfc(xm)) / xm
+        one = -mpmath.expm1(-xm) / xm
+        for (a, b), want in (((0.5, 1.5), half), ((1.0, 2.0), one)):
+            got = ml_closed_form(classify(a, b), x)
+            assert abs(got - want) <= 1e-14 * want, (a, b, x)
 
 
 def test_taylor_matches_closed_form_small_x():
@@ -194,10 +208,11 @@ def test_oracle_small_alpha_near_crossover():
     assert all(0.0 < v <= rgamma(0.5) for v in vals)
 
 
-def test_import_does_not_load_mpmath():
+def test_import_does_not_load_mpmath_or_scipy():
     src = os.path.dirname(os.path.dirname(mlpade.__file__))
+    code = "import mlpade, sys; assert not {'mpmath', 'scipy'} & set(sys.modules)"
     r = subprocess.run(
-        [sys.executable, "-c", "import mlpade, sys; assert 'mpmath' not in sys.modules"],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60,
     )
     assert r.returncode == 0, r.stderr.decode()

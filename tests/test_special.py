@@ -2,16 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from mlpade import DomainError, PoleError
-from mlpade.special import erfc, erfcx, gamma, is_nonpositive_integer, rgamma
+from mlpade import ConstructionError, DomainError, PoleError, build_approx, classify
+from mlpade.special import erfcx, gamma, is_nonpositive_integer, rgamma
 
 SQRT_PI = math.sqrt(math.pi)
 
-# oracle: integral of the Gaussian tail, mpmath.erfc(1) at 60 digits
-ERFC_1 = 0.15729920705028513
 # oracle: mpmath exp(2500)*erfc(50) at 60 digits
 ERFCX_50 = 0.011281536265323773
 
@@ -50,17 +49,11 @@ def test_is_nonpositive_integer():
     assert not is_nonpositive_integer(float("-inf"))
 
 
-def test_erfc_values():
-    assert erfc(0.0) == 1.0
-    assert erfc(30.0) < 1e-300
-    assert erfc(1.0) == pytest.approx(ERFC_1, rel=1e-12)
-
-
 def test_erfcx_values():
     assert erfcx(0.0) == 1.0
     assert erfcx(50.0) == pytest.approx(ERFCX_50, rel=1e-12)
     # no-overflow product identity where both factors are representable
-    assert erfcx(1.0) == pytest.approx(math.e * erfc(1.0), rel=1e-13)
+    assert erfcx(1.0) == pytest.approx(math.e * math.erfc(1.0), rel=1e-13)
 
 
 def test_erfcx_rejects_negative():
@@ -94,3 +87,44 @@ def test_erfcx_strictly_decreasing():
     assert np.all(vals > 0.0)
     assert np.all(vals <= 1.0)
     assert np.all(np.diff(vals) < 0.0)
+
+
+def _max_rel_error(f, ref, xs):
+    with mpmath.workdps(40):
+        return max(float(abs(f(x) / ref(mpmath.mpf(x)) - 1)) for x in xs)
+
+
+def test_erfcx_matches_mpmath():
+    # both sides of the switch at x = 26 from exp(x^2)*erfc(x) to the series
+    rng = np.random.default_rng(7)
+    xs = [0.0, 26.0] + [
+        float(x)
+        for x in np.concatenate([
+            10.0 ** rng.uniform(-3.0, 6.0, 400),
+            rng.uniform(0.0, 1e6, 100),
+            rng.uniform(0.0, 30.0, 300),
+            rng.uniform(25.0, 27.0, 200),
+        ])
+    ]
+    ref = lambda x: mpmath.exp(x * x) * mpmath.erfc(x)
+    assert _max_rel_error(erfcx, ref, xs) <= 2e-15
+
+
+def test_gamma_rgamma_match_mpmath():
+    rng = np.random.default_rng(8)
+    xs = [float(x) for x in rng.uniform(-1.0, 171.5, 1000)]
+    assert _max_rel_error(gamma, mpmath.gamma, xs) <= 2e-15
+    assert _max_rel_error(rgamma, mpmath.rgamma, xs) <= 2e-15
+
+
+def test_gamma_overflow_and_underflow():
+    assert gamma(172.0) == math.inf
+    assert rgamma(172.0) == 0.0
+    # Gamma(-180.5) underflows to -0, so its reciprocal overflows to -inf
+    assert rgamma(-180.5) == -math.inf
+
+
+def test_large_beta_construction_error_is_typed():
+    # Gamma(172) overflows; construction reports it as ConstructionError
+    with pytest.raises(ConstructionError):
+        build_approx(classify(0.5, 172.0))
