@@ -6,7 +6,7 @@ approximant and the true functional inverse obtained by bisecting the
 oracle. Reports serialize deterministically to CSV or a one-line summary.
 """
 
-import math
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,15 +45,18 @@ class GridSpec:
         if self.scale not in ("logarithmic", "linear"):
             raise DomainError(f"unknown scale {self.scale!r}")
 
-    def points(self) -> list[float]:
-        if self.scale == "logarithmic":
-            pts = np.geomspace(self.x_min, self.x_max, self.n_points)
-        else:
-            pts = np.linspace(self.x_min, self.x_max, self.n_points)
-        out = [float(p) for p in pts]
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """The grid points as one read-only float array, built on first use."""
+        space = np.geomspace if self.scale == "logarithmic" else np.linspace
+        pts = space(self.x_min, self.x_max, self.n_points)
         if self.include_zero:
-            out.insert(0, 0.0)
-        return out
+            pts = np.concatenate(([0.0], pts))
+        pts.flags.writeable = False
+        return pts
+
+    def points(self) -> list[float]:
+        return self.array.tolist()
 
 
 DEFAULT_GRID = GridSpec(1e-4, 1e4, 4000, "logarithmic", include_zero=True)
@@ -70,14 +73,13 @@ class ErrorReport:
 
 
 def error_scan(params: MLParams, grid: GridSpec = DEFAULT_GRID) -> ErrorReport:
-    """Tabulate |approximant - oracle| over the grid."""
-    approx = build_approx(params)
-    samples = []
-    for x in grid.points():
-        a = eval_approx(approx, x)
-        o = ml_oracle(params, x)
-        samples.append((x, a, o, abs(a - o)))
-    worst = max(samples, key=lambda s: s[3])
+    """Tabulate |approximant - oracle| over the grid, in one array pass."""
+    xs = grid.array
+    approx = eval_approx(build_approx(params), xs)
+    oracle = ml_oracle(params, xs)
+    err = np.abs(approx - oracle)
+    samples = list(zip(xs.tolist(), approx.tolist(), oracle.tolist(), err.tolist()))
+    worst = samples[int(np.argmax(err))]
     return ErrorReport(params, grid, worst[3], worst[0], samples)
 
 

@@ -1,4 +1,5 @@
-"""Parameter validation and regime classification for E_{alpha,beta}(-x).
+"""Parameter validation and regime classification for E_{alpha,beta}(-x),
+and the argument check shared by the evaluators that take arrays.
 
 The approximation construction splits into five mutually exclusive regimes
 inside the complete-monotonicity region {0 < alpha <= 1, beta >= alpha}.
@@ -8,9 +9,11 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterDomainError
+import numpy as np
 
-__all__ = ["Regime", "MLParams", "classify"]
+from .errors import DomainError, ParameterDomainError
+
+__all__ = ["Regime", "MLParams", "classify", "argument_array"]
 
 
 class Regime(enum.Enum):
@@ -51,3 +54,15 @@ def classify(alpha: float, beta: float) -> MLParams:
     else:
         regime = Regime.GENERAL_SUB
     return MLParams(alpha, beta, regime)
+
+
+def argument_array(x: np.ndarray, op: str) -> np.ndarray:
+    """x as a 1-D float64 array of finite entries >= 0. Raises DomainError
+    naming `op` for another shape or for the first entry outside that domain."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 1:
+        raise DomainError(f"{op} takes a float or a 1-D array, got shape {arr.shape}")
+    if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
+        bad = arr[~(np.isfinite(arr) & (arr >= 0.0))][0]
+        raise DomainError(f"{op} requires finite x >= 0, got {float(bad)!r}")
+    return arr

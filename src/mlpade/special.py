@@ -9,7 +9,7 @@ import math
 
 from .errors import DomainError, PoleError
 
-__all__ = ["gamma", "rgamma", "erfcx", "is_nonpositive_integer"]
+__all__ = ["gamma", "rgamma", "erfcx", "erfcx_series_tail", "is_nonpositive_integer"]
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -51,7 +51,13 @@ def erfcx(x: float) -> float:
     if x < 26.0:
         xh = math.floor(x * 1048576.0) / 1048576.0
         return math.exp(xh * xh) * math.exp((x - xh) * (x + xh)) * math.erfc(x)
+    return (1.0 - erfcx_series_tail(x)) / _SQRT_PI / x
+
+
+def erfcx_series_tail(x: float) -> float:
+    """1 - sqrt(pi)*x*erfcx(x) for x >= 26: the terms of erfcx's asymptotic
+    series after its leading 1, v - 3v^2 + 15v^3 - ... + 135135v^7 with
+    v = 1/(2x^2), summed without the cancellation of the difference."""
     v = 0.5 / (x * x)
-    s = 1.0 - v * (1.0 - v * (3.0 - v * (15.0 - v * (105.0 - v * (
+    return v * (1.0 - v * (3.0 - v * (15.0 - v * (105.0 - v * (
         945.0 - v * (10395.0 - v * 135135.0))))))
-    return s / _SQRT_PI / x

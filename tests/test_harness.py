@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from mlpade import (
+    DEFAULT_GRID,
     DomainError,
     GridSpec,
+    build_approx,
     classify,
     emit_report,
     error_scan,
+    eval_approx,
     format_shortest,
     inverse_error_scan,
+    ml_oracle,
 )
 from mlpade.special import rgamma
 
@@ -33,6 +37,16 @@ def test_grid_points():
     assert g.points() == [0.0, 1.0, 10.0, 100.0]
     g = GridSpec(1.0, 3.0, 3, scale="linear")
     assert g.points() == [1.0, 2.0, 3.0]
+
+
+def test_grid_array_is_built_once_and_read_only():
+    g = GridSpec(1e-4, 1e4, 4000, include_zero=True)
+    assert g.array is g.array
+    assert not g.array.flags.writeable
+    assert g.points() == [0.0] + [float(p) for p in np.geomspace(1e-4, 1e4, 4000)]
+    assert DEFAULT_GRID.points() == g.points()
+    lin = GridSpec(1.0, 2.0, 11, scale="linear")
+    assert lin.points() == [float(p) for p in np.linspace(1.0, 2.0, 11)]
 
 
 def test_format_shortest():
@@ -114,3 +128,42 @@ def test_inverse_scan_beta_one():
 def test_inverse_scan_rejects_out_of_domain_grid():
     with pytest.raises(DomainError):
         inverse_error_scan(classify(0.5, 0.5), GridSpec(1e-2, 1.0, 10))
+
+
+def _scan_by_point(params, grid):
+    """error_scan's samples computed one grid point at a time."""
+    approx = build_approx(params)
+    rows = []
+    for x in grid.points():
+        a, o = eval_approx(approx, x), ml_oracle(params, x)
+        rows.append((x, a, o, abs(a - o)))
+    return rows
+
+
+CROSSOVER_GRID = GridSpec(0.5, 200.0, 120, include_zero=True)
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 1.5), (0.5, 1.0), (0.5, 0.5), (1.0, 2.0), (1.0, 1.0)])
+def test_scan_equals_per_point_loop_on_closed_forms(a, b):
+    params = classify(a, b)
+    for grid in (SMALL_GRID, CROSSOVER_GRID):
+        report = error_scan(params, grid)
+        assert report.samples == _scan_by_point(params, grid)
+
+
+@pytest.mark.parametrize("a,b", [(0.3, 0.9), (0.7, 1.3), (0.2, 0.7), (0.35, 0.35), (1.0, 3.0), (0.15, 1.2)])
+def test_scan_matches_per_point_loop(a, b):
+    params = classify(a, b)
+    for grid in (SMALL_GRID, CROSSOVER_GRID):
+        report = error_scan(params, grid)
+        ref = _scan_by_point(params, grid)
+        assert [s[:2] for s in report.samples] == [r[:2] for r in ref]
+        assert all(type(v) is float for s in report.samples for v in s)
+        for (x, _, o, _), (_, _, o_ref, _) in zip(report.samples, ref):
+            if x ** (1.0 / a) < 40.0:
+                assert abs(o - o_ref) <= 1e-13, x
+            else:
+                assert abs(o - o_ref) <= 1e-14 * abs(o_ref), x
+        errors = [s[3] for s in report.samples]
+        first = errors.index(max(errors))
+        assert (report.max_abs_error, report.argmax_x) == (errors[first], report.samples[first][0])

@@ -247,3 +247,44 @@ def test_eval_rejects_negative():
     ap = build_approx(classify(0.5, 1.5))
     with pytest.raises(DomainError):
         eval_approx(ap, -0.1)
+
+
+ARRAY_PAIRS = [(0.5, 1.5), (0.3, 0.9), (0.45, 0.45), (1.0, 2.5), (1.0, 1.0), (0.5, 1.0)]
+
+
+@pytest.mark.parametrize("a,b", ARRAY_PAIRS)
+def test_eval_array_matches_float_calls_bitwise(a, b):
+    ap = build_approx(classify(a, b))
+    # 0, the usual range, both sides of the 1e100 rescaling and far past it
+    xs = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 97), [1e100, 1.0000001e100, 1e150, 1e300]])
+    got = eval_approx(ap, xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    want = [eval_approx(ap, x) for x in xs.tolist()]
+    assert got.tolist() == want
+    assert got[0] == ap.n0
+    for x in (0.0, 0.37, 12.5, 2e100):
+        assert eval_approx(ap, np.array([x]))[0] == eval_approx(ap, x)
+
+
+def test_eval_array_exponential_regime_uses_math_exp():
+    ap = build_approx(classify(1.0, 1.0))
+    xs = np.geomspace(1e-4, 700.0, 4001)
+    assert eval_approx(ap, xs).tolist() == [math.exp(-x) for x in xs.tolist()]
+
+
+@pytest.mark.parametrize("bad", [-1e-300, -2.0, math.nan, math.inf])
+def test_eval_array_rejects_bad_entries(bad):
+    ap = build_approx(classify(0.5, 1.5))
+    xs = np.array([0.0, 1.0, bad, 3.0])
+    with pytest.raises(DomainError, match="eval_approx requires finite x >= 0"):
+        eval_approx(ap, xs)
+    with pytest.raises(DomainError):
+        eval_approx(ap, bad)
+
+
+def test_eval_array_shapes():
+    ap = build_approx(classify(0.5, 1.5))
+    assert eval_approx(ap, np.array([])).shape == (0,)
+    assert eval_approx(ap, np.array([1, 2])).tolist() == [eval_approx(ap, 1.0), eval_approx(ap, 2.0)]
+    with pytest.raises(DomainError, match="1-D"):
+        eval_approx(ap, np.ones((2, 2)))

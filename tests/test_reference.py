@@ -216,3 +216,71 @@ def test_import_does_not_load_mpmath_or_scipy():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60,
     )
     assert r.returncode == 0, r.stderr.decode()
+
+
+def test_closed_form_half_half_free_of_large_x_cancellation():
+    # 1/sqrt(pi) - x*erfcx(x) loses relative accuracy like x^2; above x = 26
+    # it is summed from erfcx's asymptotic terms instead
+    params = classify(0.5, 0.5)
+    rng = np.random.default_rng(26)
+    xs = np.concatenate([[26.0, 26.000001, 1e4, 1e5, 1e6, 1e8], 10.0 ** rng.uniform(math.log10(26.0), 8.0, 300)])
+    with mpmath.workdps(40):
+        for x in xs.tolist():
+            xm = mpmath.mpf(x)
+            want = 1 / mpmath.sqrt(mpmath.pi) - xm * mpmath.exp(xm * xm) * mpmath.erfc(xm)
+            got = ml_closed_form(params, x)
+            assert abs(got - want) <= 1e-13 * abs(want), x
+            assert ml_oracle(params, x) == got
+
+
+ORACLE_PAIRS = CLOSED_FORM_PAIRS + [(0.3, 0.9), (0.7, 1.3), (0.05, 0.5), (0.35, 0.35), (1.0, 3.0), (0.9, 2.5)]
+
+
+@pytest.mark.parametrize("a,b", ORACLE_PAIRS)
+def test_oracle_array_matches_float_calls(a, b):
+    # entries on both sides of the crossover x**(1/a) = 40, in no order
+    params = classify(a, b)
+    cut = 40.0**a
+    rng = np.random.default_rng(7)
+    xs = np.concatenate([[0.0, cut, cut * (1 - 1e-15)], cut * 10.0 ** rng.uniform(-4.0, 3.0, 60)])
+    got = ml_oracle(params, xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    want = np.array([ml_oracle(params, x) for x in xs.tolist()])
+    far = xs >= cut
+    if (a, b) in CLOSED_FORM_PAIRS:
+        assert got.tolist() == want.tolist()
+    # the contour rows are summed as one matrix product, in another order
+    assert np.all(np.abs(got - want)[~far] <= 1e-13)
+    assert got[far].tolist() == want[far].tolist()
+    assert got[0] == rgamma(b)
+    for x in xs[:6].tolist():
+        assert ml_oracle(params, np.array([x]))[0] == ml_oracle(params, x)
+
+
+@pytest.mark.parametrize("bad", [-1e-300, -2.0, math.nan, math.inf])
+@pytest.mark.parametrize("a,b", [(0.3, 0.9), (0.5, 1.0)])
+def test_oracle_rejects_bad_entries(a, b, bad):
+    params = classify(a, b)
+    with pytest.raises(DomainError, match="ml_oracle requires finite x >= 0"):
+        ml_oracle(params, np.array([0.5, bad]))
+    with pytest.raises(DomainError, match="ml_oracle requires finite x >= 0"):
+        ml_oracle(params, bad)
+
+
+@pytest.mark.parametrize("a,b,x,value", [(0.9, 45.0, 29.04, 3.908e-55), (0.5, 50.0, 6.64, 1.7375e-63)])
+def test_asymptotic_one_term_truncation_at_large_beta(a, b, x, value):
+    # Known defect, kept: for beta large against x**(1/a) just past the
+    # crossover the envelope rises at k = 2, so the series is its first term
+    # alone, about twice the true value (Talbot references 1.9256e-55 and
+    # 8.458e-64).
+    assert ml_oracle(classify(a, b), x) == pytest.approx(rgamma(b - a) / x, rel=1e-15, abs=0.0)
+    assert ml_oracle(classify(a, b), x) == pytest.approx(value, rel=1e-4, abs=0.0)
+
+
+@pytest.mark.parametrize("a,x", [(0.95, 11596.578525062128), (0.7, 5e3), (0.35, 1e3)])
+def test_asymptotic_diagonal_far_past_crossover_matches_reference(a, x):
+    # the first coefficient 1/Gamma(a - a) is 0, so the early stop must be
+    # scaled by the first nonzero term: scaling it by the first term's
+    # envelope dropped (0.95, 0.95, x = 11597)'s sixth term, 2e-14 relative
+    got = ml_oracle(classify(a, a), x)
+    assert got == pytest.approx(ml_talbot(a, a, x), rel=2e-15, abs=0.0)
