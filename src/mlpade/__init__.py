@@ -14,6 +14,7 @@ from .errors import (
     NonConvergenceError,
     ParameterDomainError,
     PoleError,
+    ResultOverflowError,
 )
 from .fode import (
     RelaxationSpec,
@@ -92,5 +93,6 @@ __all__ = [
     "DegenerateSystemError",
     "ConstructionError",
     "BranchError",
+    "ResultOverflowError",
     "BracketError",
 ]

@@ -35,5 +35,9 @@ class BranchError(MLPadeError, ArithmeticError):
     is negative beyond rounding tolerance."""
 
 
+class ResultOverflowError(MLPadeError, OverflowError):
+    """The exact result lies beyond the largest finite double."""
+
+
 class BracketError(MLPadeError, ArithmeticError):
     """Bisection could not bracket a root (non-monotone data)."""

@@ -8,12 +8,14 @@ inverse solves the quadratic obtained from the unified rational form
 with the cancellation-safe quadratic formula: the larger-magnitude root is
 evaluated with the sign-matched numerator and the other recovered from the
 product of roots, so the small root near the y = 1/Gamma(beta) boundary
-keeps full precision.
+keeps full precision. Below about y = 1e-154, where b*b overflows, the same
+root is taken from b/a and sqrt(-c/a), which stay finite wherever the root
+does.
 """
 
 import math
 
-from .errors import BranchError, DomainError
+from .errors import BranchError, DomainError, ResultOverflowError
 from .pade import RationalApprox, build_approx, eval_approx
 from .params import MLParams, Regime
 from .special import rgamma
@@ -21,6 +23,10 @@ from .special import rgamma
 __all__ = ["inv_domain", "inv_pade", "inv_pade_from_approx"]
 
 _DISC_CLAMP = -1e-12
+
+# inv_pade_from_approx's regime test, as in pade.py: cheaper than the
+# attribute lookup on the Enum class
+_PURE_EXPONENTIAL = Regime.PURE_EXPONENTIAL
 
 
 def inv_domain(params: MLParams) -> tuple[float, float]:
@@ -30,10 +36,10 @@ def inv_domain(params: MLParams) -> tuple[float, float]:
 
 def inv_pade_from_approx(approx: RationalApprox, y: float) -> float:
     """Nonnegative solution X of approx(X) = y."""
-    if approx.regime is Regime.PURE_EXPONENTIAL:
+    if approx.regime is _PURE_EXPONENTIAL:
         if not 0.0 < y <= 1.0:
             raise DomainError(f"y={y!r} outside (0, 1]")
-        return -math.log(y)
+        return 0.0 - math.log(y)  # +0.0 at y = 1, where -log(y) is -0.0
     n0 = approx.n0
     if not 0.0 < y <= n0:
         raise DomainError(f"y={y!r} outside (0, {n0!r}]")
@@ -50,6 +56,8 @@ def inv_pade_from_approx(approx: RationalApprox, y: float) -> float:
                 f"negative discriminant {disc!r} beyond rounding tolerance"
             )
         disc = 0.0
+    elif disc == math.inf:
+        return _root_past_overflow(approx, y)
     sq = math.sqrt(disc)
     q = -0.5 * (b + sq) if b >= 0.0 else -0.5 * (b - sq)
     if q == 0.0:
@@ -62,6 +70,29 @@ def inv_pade_from_approx(approx: RationalApprox, y: float) -> float:
             "monotone there and the inverse branch is ambiguous"
         )
     return r2 if r2 >= 0.0 else r1
+
+
+def _root_past_overflow(approx: RationalApprox, y: float) -> float:
+    """The nonnegative root where b*b - 4ac overflows.
+
+    With ba = b/a and s = sqrt(-c/a) the root is (hypot(ba, 2s) - ba)/2 for
+    ba < 0, and 2s * s/(ba + hypot(ba, 2s)) otherwise; neither forms b*b or
+    a*c. Where n0/y overflows, -c = n0/y - 1 is n0/y to double precision, so
+    s is sqrt(n0)/sqrt(y)/sqrt(a)."""
+    a = approx.d2
+    n0_y = approx.n0 / y
+    s = (
+        math.sqrt(n0_y - 1.0) if n0_y < math.inf
+        else math.sqrt(approx.n0) / math.sqrt(y)
+    ) / math.sqrt(a)
+    ba = approx.d1 / a - approx.n1 / a / y
+    h = math.hypot(ba, 2.0 * s)
+    x = 0.5 * h - 0.5 * ba if ba < 0.0 else 2.0 * s * (s / (ba + h))
+    if x == math.inf:
+        raise ResultOverflowError(
+            f"the root X of approx(X) = y at y={y!r} overflows a double"
+        )
+    return x
 
 
 def inv_pade(params: MLParams, y: float) -> float:

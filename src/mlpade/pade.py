@@ -8,6 +8,7 @@ both numerically and via its closed-form solution, and the two paths are
 cross-checked in the test suite.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,11 @@ _DIAGONAL_HINT = "; the diagonal approximant needs alpha <= alpha* = 0.651207503
 # eval_approx's regime test; an attribute lookup on the Enum class would cost
 # about 0.1 us, a third of a float evaluation
 _PURE_EXPONENTIAL = Regime.PURE_EXPONENTIAL
+
+# build_approx's memo: a caller inverts or evaluates one pair many times, and
+# the approximant depends on (alpha, beta) alone. A larger memo was no faster
+# on the benchmark, and each entry it keeps alive pins allocator memory
+_APPROX_CACHE_SIZE = 32
 
 # beta - 2*alpha is computed, not input, so floating-point parameter choices
 # that mathematically hit a Gamma pole must snap to it
@@ -159,8 +165,13 @@ def coeffs_from_closed_form(params: MLParams) -> PadeCoeffs:
     return PadeCoeffs(0.0, p1, q0, q1)
 
 
+@functools.lru_cache(maxsize=_APPROX_CACHE_SIZE)
 def build_approx(params: MLParams) -> RationalApprox:
-    """Assemble the unified rational form for the regime of `params`."""
+    """Assemble the unified rational form for the regime of `params`.
+
+    Memoised per `params` (the last 32 pairs): the returned approximant is
+    immutable and shared between callers. A failed construction is not
+    memoised and raises again on the next call."""
     a, b = params.alpha, params.beta
     regime = params.regime
     if regime is Regime.PURE_EXPONENTIAL:

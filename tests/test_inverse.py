@@ -7,6 +7,7 @@ import pytest
 
 from mlpade import (
     DomainError,
+    ResultOverflowError,
     build_approx,
     classify,
     eval_approx,
@@ -104,3 +105,53 @@ def test_near_boundary_small_root_precision():
         x = inv_pade_from_approx(ap, y)
         assert 0.0 < x < 1e-4
         assert eval_approx(ap, x) == pytest.approx(y, rel=1e-12)
+
+
+def test_exponential_inverse_at_one_is_positive_zero():
+    assert math.copysign(1.0, inv_pade(classify(1.0, 1.0), 1.0)) == 1.0
+
+
+def test_inv_pade_matches_inverse_of_built_approx():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        a = float(rng.uniform(0.05, 1.0))
+        b = float(rng.uniform(a, 4.0))
+        params = classify(a, b)
+        ap = build_approx(params)
+        for y in rgamma(b) * rng.uniform(1e-6, 1.0, 5):
+            assert inv_pade(params, float(y)) == inv_pade_from_approx(ap, float(y))
+
+
+# every regime; (0.3, 0.3) and (0.6, 0.6) are diagonal on both sides of
+# alpha = 1/2, where d1 changes sign
+REGIME_PAIRS = WORKED_PAIRS + [(1.0, 1.0), (0.3, 0.3), (0.6, 0.6), (0.3, 0.9)]
+
+
+@pytest.mark.parametrize("a,b", REGIME_PAIRS)
+def test_round_trip_where_b_squared_overflows(a, b):
+    # below y ~ 1e-154 the quadratic's b*b overflows; the root still fits
+    ap = build_approx(classify(a, b))
+    for y in np.geomspace(1e-300, 1e-150, 61):
+        x = inv_pade_from_approx(ap, float(y))
+        assert 0.0 < x < math.inf
+        assert eval_approx(ap, x) == pytest.approx(float(y), rel=1e-9)
+
+
+@pytest.mark.parametrize("a,b", REGIME_PAIRS + [(0.5, 10.0)])
+def test_subnormal_y_gives_finite_root_or_typed_overflow(a, b):
+    ap = build_approx(classify(a, b))
+    for y in (2.2e-308, 1e-310, 1e-320, 5e-324):
+        try:
+            x = inv_pade_from_approx(ap, y)
+        except ResultOverflowError as exc:
+            assert "overflows" in str(exc)
+        else:
+            assert 0.0 <= x < math.inf
+
+
+def test_root_overflow_is_typed():
+    # X ~ n1/(d2 y) = 1/y for (1, 2) is beyond the largest double
+    with pytest.raises(ResultOverflowError, match="overflows"):
+        inv_pade(classify(1.0, 2.0), 1e-310)
+    # the diagonal root ~ 1/sqrt(y) fits at every y
+    assert inv_pade(classify(0.3, 0.3), 5e-324) > 1e161

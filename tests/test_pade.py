@@ -288,3 +288,28 @@ def test_eval_array_shapes():
     assert eval_approx(ap, np.array([1, 2])).tolist() == [eval_approx(ap, 1.0), eval_approx(ap, 2.0)]
     with pytest.raises(DomainError, match="1-D"):
         eval_approx(ap, np.ones((2, 2)))
+
+
+# one pair per regime
+REGIME_PAIRS = [(0.5, 1.5), (0.5, 1.0), (0.5, 0.5), (1.0, 2.0), (1.0, 1.0)]
+
+
+@pytest.mark.parametrize("a,b", REGIME_PAIRS)
+def test_build_approx_is_memoised_per_params(a, b):
+    # two equal MLParams built apart share one approximant
+    assert build_approx(classify(a, b)) is build_approx(classify(a, b))
+
+
+@pytest.mark.parametrize("a,b", [(0.8, 0.8), (0.5, 172.0)])
+def test_failed_construction_is_not_memoised(a, b):
+    for _ in range(2):
+        with pytest.raises(ConstructionError):
+            build_approx(classify(a, b))
+
+
+def test_build_approx_memo_is_bounded():
+    bound = build_approx.cache_info().maxsize
+    for k in range(bound + 50):
+        build_approx(classify(0.5, 2.0 + k / 64.0))
+        assert build_approx.cache_info().currsize <= bound
+    assert build_approx.cache_info().currsize == bound
