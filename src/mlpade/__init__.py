@@ -34,14 +34,7 @@ from .harness import (
     inverse_error_scan,
 )
 from .inverse import inv_domain, inv_pade, inv_pade_from_approx
-from .pade import (
-    PadeCoeffs,
-    RationalApprox,
-    build_approx,
-    coeffs_from_closed_form,
-    eval_approx,
-    solve_hermite_pade,
-)
+from .pade import RationalApprox, build_approx, eval_approx
 from .params import MLParams, Regime, classify
 from .reference import ml_asymptotic, ml_closed_form, ml_oracle, ml_taylor
 
@@ -54,10 +47,7 @@ __all__ = [
     "Regime",
     "classify",
     # approximant
-    "PadeCoeffs",
     "RationalApprox",
-    "solve_hermite_pade",
-    "coeffs_from_closed_form",
     "build_approx",
     "eval_approx",
     # inverse

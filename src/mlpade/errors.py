@@ -22,7 +22,7 @@ class NonConvergenceError(MLPadeError, ArithmeticError):
 
 
 class DegenerateSystemError(MLPadeError, ArithmeticError):
-    """The coefficient linear system is singular beyond tolerance."""
+    """The coefficients' matching conditions are degenerate beyond tolerance."""
 
 
 class ConstructionError(MLPadeError, ArithmeticError):
@@ -31,8 +31,8 @@ class ConstructionError(MLPadeError, ArithmeticError):
 
 
 class BranchError(MLPadeError, ArithmeticError):
-    """Root selection for the inverse is ambiguous or the discriminant
-    is negative beyond rounding tolerance."""
+    """Root selection for the inverse is ambiguous: both roots of its
+    quadratic are nonnegative."""
 
 
 class ResultOverflowError(MLPadeError, OverflowError):

@@ -22,8 +22,6 @@ from .special import rgamma
 
 __all__ = ["inv_domain", "inv_pade", "inv_pade_from_approx"]
 
-_DISC_CLAMP = -1e-12
-
 # inv_pade_from_approx's regime test, as in pade.py: cheaper than the
 # attribute lookup on the Enum class
 _PURE_EXPONENTIAL = Regime.PURE_EXPONENTIAL
@@ -49,14 +47,10 @@ def inv_pade_from_approx(approx: RationalApprox, y: float) -> float:
     if y == n0:
         # exact boundary: X = 0 is a root since c vanishes identically
         return 0.0
+    # a = d2 > 0 and y <= n0 makes c <= 0, so disc >= b*b >= 0 in floating
+    # point too: no clamp, and no NaN, since 4ac is never +inf
     disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        if disc < _DISC_CLAMP:
-            raise BranchError(
-                f"negative discriminant {disc!r} beyond rounding tolerance"
-            )
-        disc = 0.0
-    elif disc == math.inf:
+    if disc == math.inf:
         return _root_past_overflow(approx, y)
     sq = math.sqrt(disc)
     q = -0.5 * (b + sq) if b >= 0.0 else -0.5 * (b - sq)

@@ -2,10 +2,11 @@
 
 All regimes share one evaluated form A(x) = (n0 + n1*x) / (1 + d1*x + d2*x^2),
 with n0 = 1/Gamma(beta) so that A(0) matches the function value exactly.
-The coefficients come from matching three Taylor terms at 0 and two
-asymptotic terms at infinity; the resulting 4x4 linear system is solved
-both numerically and via its closed-form solution, and the two paths are
-cross-checked in the test suite.
+Off the diagonal the coefficients match A(0), A'(0) and the 1/x and 1/x^2
+terms of the asymptotic series. Those four conditions are solved by hand in
+Gamma ratios, so no Gamma(beta)^2 is formed and the construction holds up
+to Gamma(beta + alpha)'s overflow. The paper's 4x4 system and its closed
+form are kept in the tests as references.
 """
 
 import functools
@@ -14,25 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstructionError,
-    DegenerateSystemError,
-    DomainError,
-    ParameterDomainError,
-)
+from .errors import ConstructionError, DegenerateSystemError, DomainError
 from .params import MLParams, Regime, argument_array, classify
 from .special import gamma, rgamma
 
-__all__ = [
-    "PadeCoeffs",
-    "RationalApprox",
-    "classify",
-    "solve_hermite_pade",
-    "coeffs_from_closed_form",
-    "build_approx",
-    "eval_approx",
-    "snapped_rgamma",
-]
+__all__ = ["RationalApprox", "classify", "build_approx", "eval_approx"]
 
 # alpha* is the root of d1^2 = 4*d2 for alpha = beta
 _DIAGONAL_HINT = "; the diagonal approximant needs alpha <= alpha* = 0.6512075036295607"
@@ -45,29 +32,6 @@ _PURE_EXPONENTIAL = Regime.PURE_EXPONENTIAL
 # the approximant depends on (alpha, beta) alone. A larger memo was no faster
 # on the benchmark, and each entry it keeps alive pins allocator memory
 _APPROX_CACHE_SIZE = 32
-
-# beta - 2*alpha is computed, not input, so floating-point parameter choices
-# that mathematically hit a Gamma pole must snap to it
-_POLE_SNAP_TOL = 1e-12
-
-
-def snapped_rgamma(x: float, tol: float = _POLE_SNAP_TOL) -> float:
-    """1/Gamma(x) with values within `tol` of a nonpositive integer
-    treated as the exact pole (returning 0)."""
-    r = round(x)
-    if r <= 0 and abs(x - r) <= tol:
-        return 0.0
-    return rgamma(x)
-
-
-@dataclass(frozen=True)
-class PadeCoeffs:
-    """Raw Hermite-Pade unknowns of (p0 + p1*x + x^2) / (q0 + q1*x + x^2)."""
-
-    p0: float
-    p1: float
-    q0: float
-    q1: float
 
 
 @dataclass(frozen=True)
@@ -100,71 +64,6 @@ class RationalApprox:
             )
 
 
-def _require_sub_regime(params: MLParams, op: str) -> None:
-    if params.regime not in (Regime.GENERAL_SUB, Regime.BETA_ONE):
-        raise ParameterDomainError(
-            f"{op} applies to the 0<alpha<1, beta>alpha cases only, "
-            f"got regime {params.regime.value}"
-        )
-
-
-def solve_hermite_pade(params: MLParams) -> PadeCoeffs:
-    """Coefficients by direct numerical solution of the 4x4 matching system.
-
-    Unknowns (p0, p1, q0, q1) satisfy
-        p0 = 0
-        p1 - g0*q0 = 0
-        g1*q0 - g0*q1 = -1
-        p1 - q1 = -g2
-    with g0 = Gamma(beta-alpha)/Gamma(beta), g1 = Gamma(beta-alpha)/Gamma(beta+alpha),
-    g2 = Gamma(beta-alpha)/Gamma(beta-2*alpha).
-    """
-    _require_sub_regime(params, "solve_hermite_pade")
-    a, b = params.alpha, params.beta
-    gba = gamma(b - a)
-    g0 = gba * rgamma(b)
-    g1 = gba * rgamma(b + a)
-    g2 = gba * snapped_rgamma(b - 2.0 * a)
-    mat = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, -g0, 0.0],
-            [0.0, 0.0, g1, -g0],
-            [0.0, 1.0, 0.0, -1.0],
-        ]
-    )
-    rhs = np.array([0.0, 0.0, -1.0, -g2])
-    if not np.all(np.isfinite(mat)):
-        raise DegenerateSystemError("non-finite matching coefficients")
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or 1.0 / cond < 1e-8:
-        raise DegenerateSystemError(
-            f"matching system singular beyond tolerance (rcond={1.0 / cond:.3e})"
-        )
-    p0, p1, q0, q1 = np.linalg.solve(mat, rhs)
-    return PadeCoeffs(float(p0), float(p1), float(q0), float(q1))
-
-
-def coeffs_from_closed_form(params: MLParams) -> PadeCoeffs:
-    """Coefficients from the closed-form solution of the matching system,
-    with every reciprocal Gamma routed through the pole-aware helper."""
-    _require_sub_regime(params, "coeffs_from_closed_form")
-    a, b = params.alpha, params.beta
-    gb = gamma(b)
-    gbp = gamma(b + a)
-    gbm = gamma(b - a)
-    rg2 = snapped_rgamma(b - 2.0 * a)
-    den = gbp * gbm - gb * gb
-    if abs(den) < 1e-14 * gb * gb:
-        raise DegenerateSystemError(
-            f"coefficient denominator degenerate for alpha={a}, beta={b}"
-        )
-    p1 = (gb * gbp - gbp * gbm * gbm * rg2) / den
-    q0 = (gb * gb * gbp / gbm - gb * gbp * gbm * rg2) / den
-    q1 = (gb * gbp - gb * gb * gbm * rg2) / den
-    return PadeCoeffs(0.0, p1, q0, q1)
-
-
 @functools.lru_cache(maxsize=_APPROX_CACHE_SIZE)
 def build_approx(params: MLParams) -> RationalApprox:
     """Assemble the unified rational form for the regime of `params`.
@@ -179,19 +78,36 @@ def build_approx(params: MLParams) -> RationalApprox:
     if regime is Regime.DIAGONAL:
         n0 = rgamma(a)
         ga1 = a * gamma(a)  # Gamma(1 + a); gives d2 = 2 exactly at a = 1/2
-        d1 = 2.0 * gamma(1.0 - a) ** 2 * snapped_rgamma(1.0 - 2.0 * a) / ga1
+        d1 = 2.0 * gamma(1.0 - a) ** 2 * rgamma(1.0 - 2.0 * a) / ga1
         d2 = gamma(1.0 - a) / ga1
         return RationalApprox(n0, 0.0, d1, d2, regime)
     if regime is Regime.ALPHA_ONE:
         return RationalApprox(
             rgamma(b), rgamma(b + 1.0), 2.0 / b, 1.0 / (b * (b - 1.0)), regime
         )
-    co = coeffs_from_closed_form(params)
-    if co.q0 == 0.0:
-        raise DegenerateSystemError(f"q0 vanished for alpha={a}, beta={b}")
-    return RationalApprox(
-        rgamma(b), 1.0 / (gamma(b - a) * co.q0), co.q1 / co.q0, 1.0 / co.q0, regime
-    )
+    gbp = gamma(b + a)
+    if gbp == math.inf:
+        raise ConstructionError(
+            f"Gamma(beta + alpha) = Gamma({b + a!r}) overflows a double for "
+            f"alpha={a}, beta={b}; beta + alpha must stay below 171.62"
+        )
+    # A(0), A'(0) and the 1/x, 1/x^2 terms matched, solved by hand in the
+    # ratios g = Gamma(b-a)/Gamma(b) and p = Gamma(b)/Gamma(b+a), with
+    # t = 1 - g Gamma(b-a)/Gamma(b-2a): d2 = g (g-p)/t, d1 = (g-p)/t + p and
+    # n1 = d2/Gamma(b-a). Log-convexity gives g > p and t > 0, both gaps
+    # shrinking like alpha^2; g - p > 1e-14 p is |Gamma(b+a)Gamma(b-a) -
+    # Gamma(b)^2| >= 1e-14 Gamma(b)^2, and at tiny alpha rounding can still
+    # leave t <= 0
+    gb, gbm = gamma(b), gamma(b - a)
+    g, p = gbm / gb, gb / gbp
+    t = 1.0 - g * gbm * rgamma(b - 2.0 * a)
+    if not (g - p > 1e-14 * p and t > 0.0):
+        raise DegenerateSystemError(
+            f"coefficient denominator degenerate for alpha={a}, beta={b}"
+        )
+    u = (g - p) / t
+    d2 = g * u
+    return RationalApprox(rgamma(b), d2 / gbm, u + p, d2, regime)
 
 
 def eval_approx(approx: RationalApprox, x):
@@ -209,6 +125,7 @@ def eval_approx(approx: RationalApprox, x):
     elif approx.regime is _PURE_EXPONENTIAL:
         return math.exp(-x)
     elif x > 1e100:
-        # rescaled form avoids inf/inf for extreme arguments
-        return (approx.n0 / x + approx.n1) / ((1.0 / x + approx.d1) + approx.d2 * x)
+        # divided through by x^2, and by x once more at the end, so neither
+        # x*x nor d2*x overflows and a subnormal result is rounded once
+        return (approx.n0 / x + approx.n1) / ((1.0 / x + approx.d1) / x + approx.d2) / x
     return (approx.n0 + approx.n1 * x) / (1.0 + approx.d1 * x + approx.d2 * x * x)

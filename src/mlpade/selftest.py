@@ -47,18 +47,24 @@ def _checks():
 
     yield "worked approximant (1/2, 3/2)", worked_coeffs
 
-    def cross_construction():
+    def matching_equations():
+        rg = special.rgamma
         for alpha in (0.2, 0.4, 0.6, 0.8):
             for beta in (alpha + 0.1, 1.0, 2.0):
-                p = classify(alpha, beta)
-                a = pade.solve_hermite_pade(p)
-                b = pade.coeffs_from_closed_form(p)
-                for g, w in ((a.p1, b.p1), (a.q0, b.q0), (a.q1, b.q1)):
+                ap = pade.build_approx(classify(alpha, beta))
+                n0, n1, d1, d2 = ap.n0, ap.n1, ap.d1, ap.d2
+                # A(0), A'(0), and the 1/x and 1/x^2 terms at infinity
+                for g, w in (
+                    (n0, rg(beta)),
+                    (n1 - n0 * d1, -rg(beta + alpha)),
+                    (n1 / d2, rg(beta - alpha)),
+                    ((n0 - n1 * d1 / d2) / d2, -rg(beta - 2.0 * alpha)),
+                ):
                     if abs(g - w) > 1e-10 * max(1.0, abs(w)):
                         return False
         return True
 
-    yield "linear solve matches closed-form coefficients", cross_construction
+    yield "coefficients satisfy the four matching equations", matching_equations
 
     def figure_errors():
         grid = harness.GridSpec(1e-4, 1e4, 800, include_zero=True)

@@ -19,7 +19,6 @@ from mlpade import (
     Regime,
     build_approx,
     classify,
-    coeffs_from_closed_form,
     error_scan,
     eval_approx,
     inv_pade,
@@ -28,12 +27,15 @@ from mlpade import (
     ml_oracle,
     ml_taylor,
     relaxation_pade,
-    solve_hermite_pade,
 )
 from mlpade.fode import RelaxationSpec, TwoTermSpec
-from mlpade.pade import snapped_rgamma
 from mlpade.special import gamma, rgamma
-from paper_formulas import two_term_coeffs
+from paper_formulas import (
+    approx_coeffs,
+    coeffs_from_closed_form,
+    solve_hermite_pade,
+    two_term_coeffs,
+)
 
 PI = math.pi
 SQRT_PI = math.sqrt(math.pi)
@@ -112,11 +114,13 @@ def test_criterion_3_construction_cross_check():
                 ref = coeffs_from_closed_form(params)
             except DegenerateSystemError:
                 continue  # pole-degenerate pair
-            for g, w in ((num.p1, ref.p1), (num.q0, ref.q0), (num.q1, ref.q1)):
-                if abs(g - w) > 1e-10 * max(1.0, abs(w)):
-                    ok = False
+            ap = build_approx(params)
+            for co in (num, ref):
+                for g, w in zip((ap.n1, ap.d1, ap.d2), approx_coeffs(params, co)):
+                    if abs(g - w) > 1e-10 * max(1.0, abs(w)):
+                        ok = False
             checked += 1
-    report(3, f"construction cross-check on {checked} pairs", ok and checked > 30)
+    report(3, f"construction against both references on {checked} pairs", ok and checked > 30)
 
 
 def test_criterion_4_matching_properties():
@@ -142,7 +146,7 @@ def test_criterion_4_matching_properties():
         if params.regime in (Regime.GENERAL_SUB, Regime.BETA_ONE):
             gba = gamma(b - a)
             got = (gba * x * eval_approx(ap, x) - 1.0) * x
-            want = -gba * snapped_rgamma(b - 2.0 * a)
+            want = -gba * rgamma(b - 2.0 * a)
             if abs(got - want) > max(1e-7, 1e-4 * abs(want)):
                 ok = False
     report(4, "Taylor/asymptotic matching properties", ok)

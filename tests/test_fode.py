@@ -12,7 +12,6 @@ from mlpade import (
     TwoTermSpec,
     build_approx,
     classify,
-    coeffs_from_closed_form,
     eval_approx,
     relaxation_exact,
     relaxation_pade,
@@ -20,7 +19,12 @@ from mlpade import (
     two_term_pade,
 )
 from mlpade.special import erfcx, rgamma
-from paper_formulas import relaxation_rational, two_term_coeffs, two_term_rational
+from paper_formulas import (
+    coeffs_from_closed_form,
+    relaxation_rational,
+    two_term_coeffs,
+    two_term_rational,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 

@@ -155,3 +155,27 @@ def test_root_overflow_is_typed():
         inv_pade(classify(1.0, 2.0), 1e-310)
     # the diagonal root ~ 1/sqrt(y) fits at every y
     assert inv_pade(classify(0.3, 0.3), 5e-324) > 1e161
+
+
+@pytest.mark.parametrize("a,b", REGIME_PAIRS + [(0.05, 3.0), (0.5, 100.0), (0.9, 170.7)])
+def test_root_just_below_boundary(a, b):
+    # y <= n0 keeps the discriminant >= 0, so the last few ulps below the
+    # boundary give a root, never an error
+    ap = build_approx(classify(a, b))
+    y = ap.n0
+    for _ in range(8):
+        y = math.nextafter(y, 0.0)
+        x = inv_pade_from_approx(ap, y)
+        assert 0.0 <= x < math.inf
+        assert eval_approx(ap, x) == pytest.approx(y, rel=1e-12)
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 100.0), (0.3, 150.0), (0.9, 170.7)])
+def test_large_beta_round_trip(a, b):
+    params = classify(a, b)
+    ap = build_approx(params)
+    hi = rgamma(b)
+    assert inv_pade(params, hi) == 0.0
+    for y in np.geomspace(hi * 1e-6, hi, 200):
+        y = min(float(y), hi)
+        assert eval_approx(ap, inv_pade_from_approx(ap, y)) == pytest.approx(y, rel=1e-9)

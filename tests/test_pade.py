@@ -14,12 +14,10 @@ from mlpade import (
     Regime,
     build_approx,
     classify,
-    coeffs_from_closed_form,
     eval_approx,
-    solve_hermite_pade,
 )
-from mlpade.pade import snapped_rgamma
 from mlpade.special import gamma, rgamma
+from paper_formulas import coeffs_from_closed_form, solve_hermite_pade
 
 PI = math.pi
 SQRT_PI = math.sqrt(math.pi)
@@ -54,13 +52,6 @@ def test_classify_regimes():
 def test_classify_rejects_invalid(a, b):
     with pytest.raises(ParameterDomainError):
         classify(a, b)
-
-
-def test_snapped_rgamma():
-    assert snapped_rgamma(0.0) == 0.0
-    assert snapped_rgamma(3e-13) == 0.0  # computed beta - 2*alpha, snap to pole
-    assert snapped_rgamma(-1.0 + 1e-13) == 0.0
-    assert snapped_rgamma(0.5) == rgamma(0.5)
 
 
 def test_worked_coefficients_general():
@@ -175,7 +166,7 @@ def test_asymptotic_second_term():
             continue
         gba = gamma(b - a)
         got = (gba * x * eval_approx(ap, x) - 1.0) * x
-        want = -gba * snapped_rgamma(b - 2.0 * a)
+        want = -gba * rgamma(b - 2.0 * a)
         # abs slack covers eps*x rounding amplification when the limit is 0
         assert got == pytest.approx(want, rel=1e-4, abs=1e-7), (a, b)
 
@@ -208,7 +199,7 @@ def test_diagonal_construction_fails_when_denominator_has_root():
         build_approx(classify(0.6513, 0.6513))
 
     def disc(a):
-        d1 = 2.0 * gamma(1.0 - a) ** 2 * snapped_rgamma(1.0 - 2.0 * a) / gamma(1.0 + a)
+        d1 = 2.0 * gamma(1.0 - a) ** 2 * rgamma(1.0 - 2.0 * a) / gamma(1.0 + a)
         return d1 * d1 - 4.0 * gamma(1.0 - a) / gamma(1.0 + a)
 
     lo, hi = 0.6, 0.7
@@ -241,6 +232,17 @@ def test_eval_extreme_argument():
     got = eval_approx(ap, x)
     assert math.isfinite(got)
     assert got == pytest.approx(ap.n1 / (ap.d2 * x), rel=1e-10)
+
+
+@pytest.mark.parametrize("a,b,x", [(1.0, 1.0000001, 1e303), (1.0, 1.0000001, 1e305), (0.5, 1.0, 1.7e308)])
+def test_eval_extreme_argument_does_not_overflow(a, b, x):
+    # d2 > 1 here, so d2 * x overflows near the top of the double range
+    ap = build_approx(classify(a, b))
+    assert ap.d2 > 1.0
+    got = eval_approx(ap, x)
+    assert got > 0.0
+    assert got == pytest.approx(ap.n1 / ap.d2 / x, rel=1e-9)
+    assert eval_approx(ap, np.array([x]))[0] == got
 
 
 def test_eval_rejects_negative():
@@ -313,3 +315,49 @@ def test_build_approx_memo_is_bounded():
         build_approx(classify(0.5, 2.0 + k / 64.0))
         assert build_approx.cache_info().currsize <= bound
     assert build_approx.cache_info().currsize == bound
+
+
+# b from 72, where forming Gamma(b)^2 would overflow, up to Gamma(b + a)'s
+# overflow at b + a = 171.62
+LARGE_BETA_PAIRS = [
+    (0.1, 72.5), (0.5, 72.3), (0.9, 72.2), (0.3, 100.0), (0.7, 140.0),
+    (0.5, 171.0), (0.9, 170.7), (0.2, 171.4), (0.01, 171.6),
+]
+
+
+@pytest.mark.parametrize("a,b", LARGE_BETA_PAIRS)
+def test_large_beta_builds_with_exact_origin_value(a, b):
+    ap = build_approx(classify(a, b))
+    assert ap.n0 == rgamma(b)
+    assert eval_approx(ap, 0.0) == rgamma(b)
+
+
+@pytest.mark.parametrize("a,b", LARGE_BETA_PAIRS)
+def test_large_beta_matching_equations(a, b):
+    ap = build_approx(classify(a, b))
+    n0, n1, d1, d2 = ap.n0, ap.n1, ap.d1, ap.d2
+    # A'(0), and the 1/x and 1/x^2 terms of the asymptotic series
+    for got, want, scale in (
+        (n1 - n0 * d1, -rgamma(b + a), n0 * d1),
+        (n1 / d2, rgamma(b - a), n1 / d2),
+        ((n0 - n1 * d1 / d2) / d2, -rgamma(b - 2.0 * a), n0 / d2),
+    ):
+        assert abs(got - want) <= 1e-12 * abs(scale), (got, want)
+
+
+@pytest.mark.parametrize("a,b", LARGE_BETA_PAIRS)
+def test_large_beta_positive_and_decreasing(a, b):
+    vals = eval_approx(build_approx(classify(a, b)), np.geomspace(1e-3, 1e3, 400))
+    assert np.all(vals > 0.0)
+    assert np.all(np.diff(vals) < 0.0)
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 171.3), (0.5, 172.0), (0.01, 171.62)])
+def test_gamma_overflow_is_a_construction_error(a, b):
+    with pytest.raises(ConstructionError, match=r"Gamma\(beta \+ alpha\).*overflows"):
+        build_approx(classify(a, b))
+
+
+def test_tiny_alpha_is_degenerate():
+    with pytest.raises(DegenerateSystemError):
+        build_approx(classify(1e-9, 2.0))
