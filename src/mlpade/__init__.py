@@ -6,7 +6,6 @@ Riemann-Liouville fractional relaxation equations.
 
 from .errors import (
     BracketError,
-    BranchError,
     ConstructionError,
     DegenerateSystemError,
     DomainError,
@@ -82,7 +81,6 @@ __all__ = [
     "NonConvergenceError",
     "DegenerateSystemError",
     "ConstructionError",
-    "BranchError",
     "ResultOverflowError",
     "BracketError",
 ]

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage error (from argparse), 3 parameter/domain
-error, 4 numerical failure (degeneracy, non-convergence, bracket/branch).
+error, 4 numerical failure (degeneracy, non-convergence, bracket, construction).
 All numeric output uses shortest round-trip decimal formatting; diagnostics
 go to stderr.
 """

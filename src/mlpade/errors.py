@@ -26,13 +26,9 @@ class DegenerateSystemError(MLPadeError, ArithmeticError):
 
 
 class ConstructionError(MLPadeError, ArithmeticError):
-    """A rational approximant violates a construction invariant
-    (e.g. its denominator has a root on the nonnegative axis)."""
-
-
-class BranchError(MLPadeError, ArithmeticError):
-    """Root selection for the inverse is ambiguous: both roots of its
-    quadratic are nonnegative."""
+    """An approximant cannot be built: its coefficients overflow, or they
+    break the invariant n0 > 0, n1 >= 0, d2 > 0, n1 <= n0*d1 that makes
+    (n0 + n1*x)/(1 + d1*x + d2*x^2) positive and nonincreasing on [0, inf)."""
 
 
 class ResultOverflowError(MLPadeError, OverflowError):

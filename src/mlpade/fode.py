@@ -8,8 +8,8 @@ solved by g(t) = (C2+1) * t^{beta-1} * E_{beta-alpha,beta}(-t^{beta-alpha}).
 
 Both are c * t^p * E_{a,b}(-lambda*t^q): the exact solutions take E from the
 oracle, the rational ones from `spec.approx`, the approximant built once per
-spec, whose checks they share (above alpha* = 0.6512 the diagonal approximant
-has a pole and `relaxation_pade` raises ConstructionError).
+spec, whose checks they share (above alpha = 1/2 the diagonal approximant is
+not monotone and `relaxation_pade` raises ConstructionError).
 
 The t^{-alpha} relaxation prefactor follows the source formula; the classical
 literature uses t^{alpha-1} (the two agree only at alpha = 1/2), so both are
@@ -73,7 +73,9 @@ class TwoTermSpec:
 
 
 def _check_t(t: float) -> None:
-    if not (t > 0.0 and math.isfinite(t)):
+    if not math.isfinite(t):
+        raise DomainError(f"need finite t, got {t!r}")
+    if not t > 0.0:
         raise DomainError(f"solution is singular at the origin; need t > 0, got {t!r}")
 
 

@@ -7,6 +7,8 @@ oracle. Reports serialize deterministically to CSV or a one-line summary.
 """
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,22 +36,21 @@ class GridSpec:
     x_min: float
     x_max: float
     n_points: int
-    scale: str = "logarithmic"
     include_zero: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.x_min < self.x_max):
-            raise DomainError("need 0 < x_min < x_max")
-        if self.n_points < 2:
-            raise DomainError("need n_points >= 2")
-        if self.scale not in ("logarithmic", "linear"):
-            raise DomainError(f"unknown scale {self.scale!r}")
+        if not (0.0 < self.x_min < self.x_max < math.inf):
+            raise DomainError(
+                f"need finite 0 < x_min < x_max, got ({self.x_min!r}, {self.x_max!r})"
+            )
+        if not (isinstance(self.n_points, numbers.Integral) and self.n_points >= 2):
+            raise DomainError(f"need an integer n_points >= 2, got {self.n_points!r}")
 
     @functools.cached_property
     def array(self) -> np.ndarray:
-        """The grid points as one read-only float array, built on first use."""
-        space = np.geomspace if self.scale == "logarithmic" else np.linspace
-        pts = space(self.x_min, self.x_max, self.n_points)
+        """The log-spaced grid points as one read-only float array, built on
+        first use."""
+        pts = np.geomspace(self.x_min, self.x_max, self.n_points)
         if self.include_zero:
             pts = np.concatenate(([0.0], pts))
         pts.flags.writeable = False
@@ -59,7 +60,7 @@ class GridSpec:
         return self.array.tolist()
 
 
-DEFAULT_GRID = GridSpec(1e-4, 1e4, 4000, "logarithmic", include_zero=True)
+DEFAULT_GRID = GridSpec(1e-4, 1e4, 4000, include_zero=True)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ does.
 
 import math
 
-from .errors import BranchError, DomainError, ResultOverflowError
-from .pade import RationalApprox, build_approx, eval_approx
+from .errors import DomainError, ResultOverflowError
+from .pade import RationalApprox, build_approx
 from .params import MLParams, Regime
 from .special import rgamma
 
@@ -33,7 +33,7 @@ def inv_domain(params: MLParams) -> tuple[float, float]:
 
 
 def inv_pade_from_approx(approx: RationalApprox, y: float) -> float:
-    """Nonnegative solution X of approx(X) = y."""
+    """The one solution X >= 0 of approx(X) = y: A is monotone (see RationalApprox)."""
     if approx.regime is _PURE_EXPONENTIAL:
         if not 0.0 < y <= 1.0:
             raise DomainError(f"y={y!r} outside (0, 1]")
@@ -56,14 +56,9 @@ def inv_pade_from_approx(approx: RationalApprox, y: float) -> float:
     q = -0.5 * (b + sq) if b >= 0.0 else -0.5 * (b - sq)
     if q == 0.0:
         return 0.0  # double root at the origin
-    r1 = q / a
-    r2 = c / q
-    if r1 >= 0.0 and r2 >= 0.0:
-        raise BranchError(
-            f"both roots nonnegative at y={y!r}; the approximant is not "
-            "monotone there and the inverse branch is ambiguous"
-        )
-    return r2 if r2 >= 0.0 else r1
+    # the roots are q/a and c/q, and c < 0 puts one on each side of 0; where c
+    # rounds to 0 the invariant n1 <= n0*d1 keeps b >= 0, so c/q is the root
+    return c / q if b >= 0.0 else q / a
 
 
 def _root_past_overflow(approx: RationalApprox, y: float) -> float:

@@ -7,6 +7,10 @@ terms of the asymptotic series. Those four conditions are solved by hand in
 Gamma ratios, so no Gamma(beta)^2 is formed and the construction holds up
 to Gamma(beta + alpha)'s overflow. The paper's 4x4 system and its closed
 form are kept in the tests as references.
+
+E_{alpha,beta}(-x) is completely monotone, so `RationalApprox` refuses an A
+that is not positive and nonincreasing. On the diagonal this allows only
+alpha <= 1/2, narrower than the paper's 0 < alpha = beta < 1.
 """
 
 import functools
@@ -21,8 +25,8 @@ from .special import gamma, rgamma
 
 __all__ = ["RationalApprox", "classify", "build_approx", "eval_approx"]
 
-# alpha* is the root of d1^2 = 4*d2 for alpha = beta
-_DIAGONAL_HINT = "; the diagonal approximant needs alpha <= alpha* = 0.6512075036295607"
+# for alpha = beta, d1 carries rgamma(1 - 2*alpha), which turns negative past 1/2
+_DIAGONAL_HINT = "; the diagonal approximant needs alpha <= 1/2"
 
 # eval_approx's regime test; an attribute lookup on the Enum class would cost
 # about 0.1 us, a third of a float evaluation
@@ -36,7 +40,8 @@ _APPROX_CACHE_SIZE = 32
 
 @dataclass(frozen=True)
 class RationalApprox:
-    """A(x) = (n0 + n1*x) / (1 + d1*x + d2*x^2), immutable after construction.
+    """A(x) = (n0 + n1*x) / (1 + d1*x + d2*x^2), immutable after construction,
+    and positive and nonincreasing on [0, inf) by the check below.
 
     For the exponential regime (alpha = beta = 1) the rational fields are
     unused placeholders and evaluation returns exp(-x) exactly.
@@ -51,15 +56,15 @@ class RationalApprox:
     def __post_init__(self):
         if self.regime is Regime.PURE_EXPONENTIAL:
             return
-        if not self.d2 > 0.0:
-            raise ConstructionError(f"d2 must be positive, got {self.d2!r}")
-        # denominator must be root-free on [0, inf): with root product
-        # 1/d2 > 0, real roots are both negative exactly when d1 > 0
-        disc = self.d1 * self.d1 - 4.0 * self.d2
-        if disc >= 0.0 and self.d1 <= 0.0:
+        # A' = ((n1 - n0*d1) - 2*n0*d2*x - n1*d2*x^2) / D(x)^2, so these signs
+        # make A positive and nonincreasing on [0, inf); d1 >= n1/n0 >= 0 also
+        # leaves the denominator D root-free there
+        n0, n1, d1, d2 = self.n0, self.n1, self.d1, self.d2
+        if not (n0 > 0.0 and n1 >= 0.0 and d2 > 0.0 and n1 <= n0 * d1):
             raise ConstructionError(
-                "approximant denominator has a nonnegative real root "
-                f"(d1={self.d1!r}, d2={self.d2!r})"
+                "approximant is not positive and nonincreasing on [0, inf): "
+                "need n0 > 0, n1 >= 0, d2 > 0 and n1 <= n0*d1, got "
+                f"(n0={n0!r}, n1={n1!r}, d1={d1!r}, d2={d2!r})"
                 + (_DIAGONAL_HINT if self.regime is Regime.DIAGONAL else "")
             )
 
@@ -81,15 +86,15 @@ def build_approx(params: MLParams) -> RationalApprox:
         d1 = 2.0 * gamma(1.0 - a) ** 2 * rgamma(1.0 - 2.0 * a) / ga1
         d2 = gamma(1.0 - a) / ga1
         return RationalApprox(n0, 0.0, d1, d2, regime)
-    if regime is Regime.ALPHA_ONE:
-        return RationalApprox(
-            rgamma(b), rgamma(b + 1.0), 2.0 / b, 1.0 / (b * (b - 1.0)), regime
-        )
     gbp = gamma(b + a)
     if gbp == math.inf:
         raise ConstructionError(
             f"Gamma(beta + alpha) = Gamma({b + a!r}) overflows a double for "
             f"alpha={a}, beta={b}; beta + alpha must stay below 171.62"
+        )
+    if regime is Regime.ALPHA_ONE:
+        return RationalApprox(
+            rgamma(b), rgamma(b + 1.0), 2.0 / b, 1.0 / (b * (b - 1.0)), regime
         )
     # A(0), A'(0) and the 1/x, 1/x^2 terms matched, solved by hand in the
     # ratios g = Gamma(b-a)/Gamma(b) and p = Gamma(b)/Gamma(b+a), with

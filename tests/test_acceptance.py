@@ -201,7 +201,7 @@ def test_criterion_6_oracle_integrity():
 
 def test_criterion_7_fode_consistency():
     ok = True
-    for alpha, lam, c1 in [(0.3, 1.0, 1.0), (0.5, 2.0, 1.5), (0.62, 0.7, -2.0)]:
+    for alpha, lam, c1 in [(0.3, 1.0, 1.0), (0.5, 2.0, 1.5), (0.45, 0.7, -2.0)]:
         spec = RelaxationSpec(alpha, lam, c1)
         ap = build_approx(classify(alpha, alpha))
         for t in np.geomspace(1e-2, 1e2, 40):
@@ -209,6 +209,9 @@ def test_criterion_7_fode_consistency():
             want = c1 * t**-alpha * eval_approx(ap, lam * t**alpha)
             if abs(relaxation_pade(spec, t) - want) > 1e-12 * max(1e-300, abs(want)):
                 ok = False
+    # above alpha = 1/2 the diagonal approximant is not monotone: refused
+    with pytest.raises(ConstructionError, match="alpha <= 1/2"):
+        relaxation_pade(RelaxationSpec(0.62, 0.7, -2.0), 1.0)
     for a, b in [(0.25, 0.75), (0.1, 0.6), (0.3, 0.95), (0.45, 0.85)]:
         q0p, q1p = two_term_coeffs(TwoTermSpec(a, b, 0.0))
         co = coeffs_from_closed_form(classify(b - a, b))

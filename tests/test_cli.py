@@ -71,11 +71,12 @@ def test_numerical_failure_exit_code():
 
 
 def test_ode_relaxation_above_alpha_star_fails():
-    # the diagonal approximant has a pole above alpha* = 0.6512
-    r = run("ode", "--relaxation", "--alpha", "0.8")
-    assert r.returncode == 4
-    assert r.stdout == ""
-    assert "alpha*" in r.stderr
+    # the diagonal approximant is refused above alpha = 1/2
+    for alpha in ("0.8", "0.6"):
+        r = run("ode", "--relaxation", "--alpha", alpha)
+        assert r.returncode == 4
+        assert r.stdout == ""
+        assert "alpha <= 1/2" in r.stderr
 
 
 def test_inverse_domain_exit_code():
@@ -120,6 +121,23 @@ def test_ode_two_term_requires_beta():
 def test_bad_t_grid():
     r = run("ode", "--relaxation", "--alpha", "0.5", "--t-grid", "nonsense")
     assert r.returncode == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("ode", "--relaxation", "--alpha", "0.3", "--t-grid", "0.01:inf:5"),
+        ("scan", "--alpha", "0.5", "--beta", "1.5", "--grid-max", "inf"),
+    ],
+)
+def test_non_finite_grid_is_a_domain_error(args):
+    # refused as a grid bound before numpy sees it: no RuntimeWarning, and
+    # no message about the origin or eval_approx
+    r = run(*args)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("mlpade: need finite 0 < x_min < x_max")
+    assert "Warning" not in r.stderr
 
 
 def test_selftest_passes():

@@ -53,6 +53,18 @@ def test_t_must_be_positive():
         two_term_exact(TwoTermSpec(0.25, 0.75, 0.0), 0.0)
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_t_must_be_finite(t):
+    # a non-finite t is not a singularity at the origin; the error says so
+    relax = RelaxationSpec(0.3, 1.0, 1.0)
+    two = TwoTermSpec(0.25, 0.75, 0.0)
+    for fn, spec in ((relaxation_exact, relax), (relaxation_pade, relax),
+                     (two_term_exact, two), (two_term_pade, two)):
+        with pytest.raises(DomainError, match="need finite t") as exc:
+            fn(spec, t)
+        assert "origin" not in str(exc.value)
+
+
 def test_relaxation_exact_half():
     # alpha = 1/2, lambda = 1, t = 1: E_{1/2,1/2}(-1) = 1/sqrt(pi) - erfcx(1)
     spec = RelaxationSpec(0.5, 1.0, 1.0)
@@ -77,7 +89,7 @@ def test_relaxation_pade_half_alpha_closed_form():
         assert relaxation_pade(spec, t) == pytest.approx(alt, rel=1e-14)
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.62])
+@pytest.mark.parametrize("alpha", [0.3, 0.45, 0.5])
 def test_relaxation_pade_matches_diagonal_approximant(alpha):
     spec = RelaxationSpec(alpha, 1.7, 2.5)
     ap = build_approx(classify(alpha, alpha))
@@ -90,12 +102,16 @@ def test_relaxation_pade_matches_diagonal_approximant(alpha):
 
 
 def test_relaxation_pade_refuses_alpha_above_alpha_star():
-    # above alpha* the diagonal approximant has a pole on the positive axis;
-    # the rational solution must raise, not return a wrong-signed value
+    # above alpha = 1/2 the diagonal approximant is not monotone (at 0.8 its
+    # denominator has a positive root); the rational solution must raise,
+    # not return a wrong value
     spec = RelaxationSpec(0.8, 1.0, 1.0)
-    with pytest.raises(ConstructionError, match=r"alpha\* = 0\.6512075036295607"):
+    with pytest.raises(ConstructionError, match="alpha <= 1/2"):
         relaxation_pade(spec, 1.0)
     assert relaxation_exact(spec, 1.0) == pytest.approx(0.25574, abs=1e-4)
+    # the moved input of test_relaxation_pade_matches_diagonal_approximant
+    with pytest.raises(ConstructionError, match="alpha <= 1/2"):
+        relaxation_pade(RelaxationSpec(0.62, 1.7, 2.5), 1.0)
 
 
 def test_relaxation_prefactor_switch():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mlpade import (
+    ConstructionError,
     DomainError,
     ResultOverflowError,
     build_approx,
@@ -122,9 +123,14 @@ def test_inv_pade_matches_inverse_of_built_approx():
             assert inv_pade(params, float(y)) == inv_pade_from_approx(ap, float(y))
 
 
-# every regime; (0.3, 0.3) and (0.6, 0.6) are diagonal on both sides of
-# alpha = 1/2, where d1 changes sign
-REGIME_PAIRS = WORKED_PAIRS + [(1.0, 1.0), (0.3, 0.3), (0.6, 0.6), (0.3, 0.9)]
+# every regime; the diagonal approximant is refused past alpha = 1/2, where
+# d1 turns negative, so (0.6, 0.6) has moved to (0.45, 0.45)
+REGIME_PAIRS = WORKED_PAIRS + [(1.0, 1.0), (0.3, 0.3), (0.45, 0.45), (0.3, 0.9)]
+
+
+def test_diagonal_past_one_half_has_no_inverse():
+    with pytest.raises(ConstructionError, match="alpha <= 1/2"):
+        inv_pade(classify(0.6, 0.6), 0.999 * rgamma(0.6))
 
 
 @pytest.mark.parametrize("a,b", REGIME_PAIRS)

@@ -22,9 +22,6 @@ from paper_formulas import coeffs_from_closed_form, solve_hermite_pade
 PI = math.pi
 SQRT_PI = math.sqrt(math.pi)
 
-# diagonal alpha above which the denominator has a nonnegative real root
-ALPHA_STAR = 0.6512075036295607
-
 # coefficient grid for the cross-construction and matching-property checks
 GRID_ALPHAS = [round(0.1 * k, 1) for k in range(1, 10)]
 
@@ -174,10 +171,13 @@ def test_asymptotic_second_term():
 def test_diagonal_x_squared_limit():
     # x^2 A(x) -> sin(pi a) Gamma(1+a)/pi via the reflection identity
     x = 1e8
-    for a in (0.1, 0.25, 0.4, 0.5, 0.6):
+    for a in (0.1, 0.25, 0.4, 0.45, 0.5):
         ap = build_approx(classify(a, a))
         want = math.sin(PI * a) * gamma(1.0 + a) / PI
         assert x * x * eval_approx(ap, x) == pytest.approx(want, rel=1e-6), a
+    # past alpha = 1/2 the diagonal approximant is refused
+    with pytest.raises(ConstructionError, match="alpha <= 1/2"):
+        build_approx(classify(0.6, 0.6))
 
 
 def test_positive_and_decreasing_on_grid():
@@ -193,28 +193,26 @@ def test_diagonal_construction_fails_when_denominator_has_root():
     # nonnegative real root and construction must refuse
     with pytest.raises(ConstructionError):
         build_approx(classify(0.75, 0.75))
-    # the threshold alpha* is the root of d1^2 = 4 d2 for the diagonal pair
-    build_approx(classify(0.6512, 0.6512))
-    with pytest.raises(ConstructionError):
-        build_approx(classify(0.6513, 0.6513))
-
-    def disc(a):
-        d1 = 2.0 * gamma(1.0 - a) ** 2 * rgamma(1.0 - 2.0 * a) / gamma(1.0 + a)
-        return d1 * d1 - 4.0 * gamma(1.0 - a) / gamma(1.0 + a)
-
-    lo, hi = 0.6, 0.7
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if disc(mid) < 0.0 else (lo, mid)
-    assert abs(lo - ALPHA_STAR) <= 1e-12
+    # d1 carries rgamma(1 - 2 alpha), zero at alpha = 1/2 and negative just
+    # past it, where A rises above A(0) before it falls
+    assert build_approx(classify(0.5, 0.5)).d1 == 0.0
+    for a in (math.nextafter(0.5, 1.0), 0.55, 0.6):
+        with pytest.raises(ConstructionError, match="alpha <= 1/2"):
+            build_approx(classify(a, a))
 
 
 def test_invalid_rational_rejected():
-    with pytest.raises(ConstructionError):
-        RationalApprox(1.0, 0.5, 1.0, -0.5, Regime.GENERAL_SUB)
-    with pytest.raises(ConstructionError):
-        # real roots with d1 <= 0 lie on the nonnegative axis
-        RationalApprox(1.0, 0.5, -3.0, 1.0, Regime.GENERAL_SUB)
+    for n0, n1, d1, d2 in (
+        (1.0, 0.5, 1.0, -0.5),  # d2 < 0
+        (1.0, 0.5, -3.0, 1.0),  # a denominator root on the positive axis
+        (1.0, 2.0, 1.0, 0.5),  # root-free denominator, but A'(0) > 0
+        (1.0, -0.5, 1.0, 1.0),  # n1 < 0: A turns negative at x = 2
+        (0.0, 0.5, 1.0, 1.0),  # n0 <= 0
+        (-1.0, 0.0, 1.0, 1.0),
+        (math.nan, 0.5, 1.0, 1.0),
+    ):
+        with pytest.raises(ConstructionError, match="positive and nonincreasing"):
+            RationalApprox(n0, n1, d1, d2, Regime.GENERAL_SUB)
 
 
 def test_eval_examples():
@@ -352,7 +350,10 @@ def test_large_beta_positive_and_decreasing(a, b):
     assert np.all(np.diff(vals) < 0.0)
 
 
-@pytest.mark.parametrize("a,b", [(0.5, 171.3), (0.5, 172.0), (0.01, 171.62)])
+# a = 1 too: past b = 170.62, Gamma(b + 1) overflows and n1 would be 0
+@pytest.mark.parametrize(
+    "a,b", [(0.5, 171.3), (0.5, 172.0), (0.01, 171.62), (1.0, 171.0), (1.0, 172.0)]
+)
 def test_gamma_overflow_is_a_construction_error(a, b):
     with pytest.raises(ConstructionError, match=r"Gamma\(beta \+ alpha\).*overflows"):
         build_approx(classify(a, b))
