@@ -24,7 +24,7 @@ from .harness import GridSpec, DEFAULT_GRID, emit_report, error_scan, format_sho
 from .inverse import inv_pade
 from .pade import build_approx, classify, eval_approx
 from .reference import ml_oracle
-from .selftest import run_selftest
+from .selftest import WORKED, run_selftest
 
 __all__ = ["main", "entry"]
 
@@ -32,8 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARAM = 3
 EXIT_NUMERIC = 4
-
-_WORKED_PAIRS = ((0.5, 1.5), (0.5, 1.0), (0.5, 0.5), (1.0, 2.0))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,7 +120,7 @@ def _coeff_line(alpha: float, beta: float) -> str:
 def _cmd_coeffs(args) -> int:
     if args.table1:
         print("regime       alpha beta  coefficients of (n0+n1*x)/(1+d1*x+d2*x^2)")
-        for alpha, beta in _WORKED_PAIRS:
+        for alpha, beta in WORKED:
             regime = classify(alpha, beta).regime.value
             print(
                 f"{regime:<12} {format_shortest(alpha):<5} "

@@ -47,8 +47,10 @@ class RelaxationSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0,1), got {self.alpha!r}")
-        if not self.lam > 0.0:
-            raise DomainError(f"lambda must be positive, got {self.lam!r}")
+        if not 0.0 < self.lam < math.inf:
+            raise DomainError(f"lambda must be finite and positive, got {self.lam!r}")
+        if not math.isfinite(self.c1):
+            raise DomainError(f"c1 must be finite, got {self.c1!r}")
 
     @cached_property
     def approx(self) -> RationalApprox:
@@ -66,6 +68,8 @@ class TwoTermSpec:
             raise DomainError(
                 f"need 0 < alpha < beta < 1, got ({self.alpha!r}, {self.beta!r})"
             )
+        if not math.isfinite(self.c2):
+            raise DomainError(f"c2 must be finite, got {self.c2!r}")
 
     @cached_property
     def approx(self) -> RationalApprox:

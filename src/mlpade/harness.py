@@ -84,8 +84,9 @@ def error_scan(params: MLParams, grid: GridSpec = DEFAULT_GRID) -> ErrorReport:
     return ErrorReport(params, grid, worst[3], worst[0], samples)
 
 
-def _bisect_inverse(params, y, y_tol=1e-10):
-    """True inverse of the oracle at y, by bracketing bisection."""
+def _bisect_inverse(params, y):
+    """True inverse of the oracle at y, by bracketing bisection until the
+    bracket's values differ by at most 1e-10."""
     lo, y_lo = 0.0, rgamma(params.beta)
     if y > y_lo:
         raise BracketError(f"y={y!r} exceeds the value at 0")
@@ -100,7 +101,7 @@ def _bisect_inverse(params, y, y_tol=1e-10):
             raise BracketError(f"could not bracket the inverse of y={y!r}")
         y_hi = ml_oracle(params, hi)
     for _ in range(200):
-        if y_lo - y_hi <= y_tol or (hi - lo) <= 1e-15 * (1.0 + hi):
+        if y_lo - y_hi <= 1e-10 or (hi - lo) <= 1e-15 * (1.0 + hi):
             break
         mid = 0.5 * (lo + hi)
         y_mid = ml_oracle(params, mid)

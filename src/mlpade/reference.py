@@ -29,7 +29,7 @@ error <= 1e-6 beyond it.
 
 An array is evaluated in one pass: the closed forms entry by entry, the series
 and the contour each as one array kernel, of which a float argument is the
-one-entry case.
+one-entry case, so each entry equals the float call bit for bit.
 
 `ml_taylor`, a plain double-precision Taylor sum for small x, is not used by
 the oracle; it remains as an independent check of the closed forms.
@@ -244,7 +244,9 @@ def _ml_contour(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """E_{alpha,beta}(-x) by the Talbot contour integral at every entry of x;
     for x**(1/alpha) < 40."""
     g = np.exp((alpha - beta) * _LOG_U) / (np.exp(alpha * _LOG_U) + x[:, None])
-    return (g @ _WEIGHTS).real
+    # each row summed on its own, in one fixed order, so that an entry does not
+    # depend on the rows around it; a matrix product (BLAS) would not ensure it
+    return np.einsum("ij,j->i", g, _WEIGHTS).real
 
 
 def ml_oracle(params: MLParams, x):

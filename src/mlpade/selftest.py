@@ -1,136 +1,194 @@
-"""Fast invariant suite behind the `mlpade selftest` subcommand.
+"""The release invariants, as one table of rows.
 
-Each check returns (name, ok, detail); the CLI prints one line per check
-and exits nonzero if any fails. This intentionally duplicates a slice of
-the pytest suite so a deployed install can be sanity-checked without
-test dependencies.
+`mlpade selftest` runs every row and prints one PASS/FAIL line each, so a
+deployed install can be checked without test dependencies; the acceptance
+suite (tests/test_acceptance.py) asserts the same rows. A row's check returns
+True when the invariant holds.
 """
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import fode, harness, inverse, pade, reference, special
-from .params import classify
+from .errors import ConstructionError
+from .params import Regime, classify
 
-__all__ = ["run_selftest"]
+__all__ = ["ROWS", "WORKED", "run_selftest"]
 
+_PI = math.pi
 _SQRT_PI = math.sqrt(math.pi)
 
+# The worked pairs: (n0, n1, d1, d2) in closed form, then the maximum absolute
+# error over DEFAULT_GRID and its tolerance.
+WORKED = {
+    (0.5, 1.5): ((2 / _SQRT_PI, (4 - _PI) / (_PI - 2), _SQRT_PI / (_PI - 2),
+                  (4 - _PI) / (_PI - 2)), 0.0034, 5e-4),
+    (0.5, 1.0): ((1.0, (_PI - 2) / _SQRT_PI, _SQRT_PI, _PI - 2), 0.0079, 5e-4),
+    (0.5, 0.5): ((1 / _SQRT_PI, 0.0, 0.0, 2.0), 0.1349, 5e-3),
+    (1.0, 2.0): ((1.0, 0.5, 1.0, 0.5), 0.0352, 1e-3),
+}
 
-def _checks():
-    yield "gamma(1/2) = sqrt(pi)", lambda: abs(
-        special.gamma(0.5) - _SQRT_PI
-    ) < 1e-15
 
-    def gamma_rgamma_roundtrip():
-        xs = np.linspace(0.1, 50.0, 500)
-        return all(
-            abs(special.gamma(x) * special.rgamma(x) - 1.0) < 1e-12 for x in xs
-        )
+class Row(NamedTuple):
+    label: str  # the release criterion of the row, or "special"
+    name: str
+    check: Callable[[], bool]
 
-    yield "gamma * rgamma = 1", gamma_rgamma_roundtrip
 
-    def erfcx_decreasing():
-        xs = np.linspace(0.0, 700.0, 10_000)
-        vals = [special.erfcx(x) for x in xs]
-        return all(0.0 < b < a <= 1.0 for a, b in zip(vals, vals[1:]))
+def _random_pairs(seed: int) -> list[tuple[float, float]]:
+    """20 seeded pairs with a in (0.1, 1) and b in (a, 3)."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(20):
+        a = float(rng.uniform(0.1, 1.0))
+        pairs.append((a, float(rng.uniform(a, 3.0))))
+    return pairs
 
-    yield "erfcx strictly decreasing in (0,1]", erfcx_decreasing
 
-    def worked_coeffs():
-        pi = math.pi
-        ap = pade.build_approx(classify(0.5, 1.5))
-        want = (2 / _SQRT_PI, (4 - pi) / (pi - 2), _SQRT_PI / (pi - 2), (4 - pi) / (pi - 2))
-        got = (ap.n0, ap.n1, ap.d1, ap.d2)
-        return all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want))
+def _coeffs(pair):
+    ap = pade.build_approx(classify(*pair))
+    return ap, (ap.n0, ap.n1, ap.d1, ap.d2)
 
-    yield "worked approximant (1/2, 3/2)", worked_coeffs
 
-    def matching_equations():
-        rg = special.rgamma
-        for alpha in (0.2, 0.4, 0.6, 0.8):
-            for beta in (alpha + 0.1, 1.0, 2.0):
-                ap = pade.build_approx(classify(alpha, beta))
-                n0, n1, d1, d2 = ap.n0, ap.n1, ap.d1, ap.d2
-                # A(0), A'(0), and the 1/x and 1/x^2 terms at infinity
-                for g, w in (
-                    (n0, rg(beta)),
-                    (n1 - n0 * d1, -rg(beta + alpha)),
-                    (n1 / d2, rg(beta - alpha)),
-                    ((n0 - n1 * d1 / d2) / d2, -rg(beta - 2.0 * alpha)),
-                ):
-                    if abs(g - w) > 1e-10 * max(1.0, abs(w)):
-                        return False
-        return True
+def _figure_errors() -> bool:
+    return all(
+        abs(harness.error_scan(classify(*pair)).max_abs_error - want) <= tol
+        for pair, (_, want, tol) in WORKED.items()
+    )
 
-    yield "coefficients satisfy the four matching equations", matching_equations
 
-    def figure_errors():
-        grid = harness.GridSpec(1e-4, 1e4, 800, include_zero=True)
-        for (a, b), want, tol in (
-            ((0.5, 1.5), 0.0034, 5e-4),
-            ((1.0, 2.0), 0.0352, 1e-3),
+def _worked_coefficients() -> bool:
+    return all(
+        abs(g - w) <= 1e-12 * abs(w)
+        for pair, (want, _, _) in WORKED.items()
+        for g, w in zip(_coeffs(pair)[1], want)
+    )
+
+
+def _matching() -> bool:
+    """A(0) exactly; A'(0) and the 1/x and 1/x^2 terms at infinity, from the
+    coefficients and through eval_approx at x = 1e8; on the diagonal the 1/x^2
+    term, the first at infinity."""
+    rg, x = special.rgamma, 1e8
+    pairs = [(a, b) for a in (0.2, 0.4, 0.6, 0.8) for b in (a + 0.1, 1.0, 2.0)]
+    pairs += [(0.2, 0.9), (0.5, 1.5), (0.5, 1.0), (0.7, 2.5), (1.0, 2.0), (0.3, 0.3), (0.5, 0.5)]
+    for a, b in pairs:
+        regime = classify(a, b).regime
+        ap, (n0, n1, d1, d2) = _coeffs((a, b))
+        if pade.eval_approx(ap, 0.0) != rg(b):
+            return False
+        if regime is Regime.DIAGONAL:
+            want = math.sin(_PI * a) * special.gamma(1.0 + a) / _PI
+            if not abs(x * x * pade.eval_approx(ap, x) - want) <= 1e-6 * want:
+                return False
+            continue
+        for g, w in (
+            (n1 - n0 * d1, -rg(b + a)),
+            (n1 / d2, rg(b - a)),
+            ((n0 - n1 * d1 / d2) / d2, -rg(b - 2.0 * a)),
         ):
-            rep = harness.error_scan(classify(a, b), grid)
-            if abs(rep.max_abs_error - want) > tol:
+            if not abs(g - w) <= 1e-10 * abs(w):
                 return False
-        return True
-
-    yield "max-error scans match the reported values", figure_errors
-
-    def round_trip():
-        for a, b in ((0.5, 1.5), (0.5, 1.0), (0.5, 0.5), (1.0, 2.0), (0.3, 0.9)):
-            p = classify(a, b)
-            ap = pade.build_approx(p)
-            hi = special.rgamma(b)
-            for y in np.geomspace(hi * 1e-6, hi, 50):
-                x = inverse.inv_pade_from_approx(ap, min(y, hi))
-                if abs(pade.eval_approx(ap, x) - y) > 1e-9 * y:
-                    return False
-            if inverse.inv_pade(p, hi) != 0.0:
+        if not abs(x * pade.eval_approx(ap, x) - rg(b - a)) <= 1e-6 * rg(b - a):
+            return False
+        if regime in (Regime.GENERAL_SUB, Regime.BETA_ONE):
+            gba = special.gamma(b - a)
+            got = (gba * x * pade.eval_approx(ap, x) - 1.0) * x
+            want = -gba * rg(b - 2.0 * a)
+            if not abs(got - want) <= max(1e-7, 1e-4 * abs(want)):
                 return False
-        return True
+    return True
 
-    yield "inverse round trip", round_trip
 
-    def recurrence():
-        for a, b in ((0.4, 0.9), (0.7, 1.2), (0.55, 0.55)):
-            pl = classify(a, b)
-            pr = classify(a, a + b)
-            for x in np.geomspace(1e-3, 1e3, 60):
-                lhs = reference.ml_oracle(pl, float(x))
-                rhs = -x * reference.ml_oracle(pr, float(x)) + special.rgamma(b)
-                if abs(lhs - rhs) > 1e-9:
-                    return False
-        return True
-
-    yield "oracle recurrence identity", recurrence
-
-    def fode_consistency():
-        spec = fode.RelaxationSpec(0.45, 2.0, 1.5)
-        ap = pade.build_approx(classify(0.45, 0.45))
-        for t in (0.1, 1.0, 10.0):
-            direct = fode.relaxation_pade(spec, t)
-            via = spec.c1 * t**-0.45 * pade.eval_approx(ap, spec.lam * t**0.45)
-            if abs(direct - via) > 1e-12 * abs(via):
+def _inverse_round_trip() -> bool:
+    for a, b in list(WORKED) + [(0.3, 0.9)] + _random_pairs(20240817):
+        params = classify(a, b)
+        ap, hi = pade.build_approx(params), special.rgamma(b)
+        if inverse.inv_pade(params, hi) != 0.0:
+            return False
+        for y in np.minimum(np.geomspace(hi * 1e-6, hi, 1000), hi).tolist():
+            x = inverse.inv_pade_from_approx(ap, y)
+            if not abs(pade.eval_approx(ap, x) - y) <= 1e-9 * y:
                 return False
-        return True
+    exp = classify(1.0, 1.0)
+    for y in np.minimum(np.geomspace(1e-10, 1.0, 50), 1.0).tolist():
+        want = -math.log(y) if y < 1.0 else 0.0
+        if not abs(inverse.inv_pade(exp, y) - want) <= 1e-14 * max(1.0, want):
+            return False
+    return True
 
-    yield "relaxation rational form consistency", fode_consistency
+
+def _oracle_integrity() -> bool:
+    """ml_taylor against the closed forms, and the recurrence
+    E_{a,b}(-x) = -x E_{a,a+b}(-x) + 1/Gamma(b) over DEFAULT_GRID."""
+    xs = np.linspace(0.0, 2.0, 101).tolist()
+    for pair in list(WORKED) + [(1.0, 1.0)]:
+        params = classify(*pair)
+        for x in xs:
+            diff = reference.ml_taylor(params, x) - reference.ml_closed_form(params, x)
+            if not abs(diff) <= 1e-10:
+                return False
+    grid = harness.DEFAULT_GRID.array
+    for a, b in [(0.4, 0.9), (0.7, 1.2), (0.55, 0.55)] + _random_pairs(20240818):
+        lhs = reference.ml_oracle(classify(a, b), grid)
+        rhs = -grid * reference.ml_oracle(classify(a, a + b), grid) + special.rgamma(b)
+        if not np.all(np.abs(lhs - rhs) <= 1e-9):
+            return False
+    return True
 
 
-def run_selftest(write=print) -> int:
-    """Run all checks; returns the number of failures."""
+def _relaxation() -> bool:
+    """relaxation_pade is c1 * t^-alpha * A(lambda * t^alpha) on the diagonal
+    approximant, and refuses alpha above 1/2."""
+    ts = np.geomspace(1e-2, 1e2, 40).tolist()
+    for alpha, lam, c1 in [(0.3, 1.0, 1.0), (0.5, 2.0, 1.5), (0.45, 0.7, -2.0), (0.45, 2.0, 1.5)]:
+        spec = fode.RelaxationSpec(alpha, lam, c1)
+        ap = pade.build_approx(classify(alpha, alpha))
+        for t in ts:
+            want = c1 * t**-alpha * pade.eval_approx(ap, lam * t**alpha)
+            if not abs(fode.relaxation_pade(spec, t) - want) <= 1e-12 * abs(want):
+                return False
+    try:
+        fode.relaxation_pade(fode.RelaxationSpec(0.62, 0.7, -2.0), 1.0)
+    except ConstructionError as exc:
+        return "alpha <= 1/2" in str(exc)
+    return False
+
+
+def _gamma_rgamma() -> bool:
+    xs = np.linspace(0.1, 50.0, 500).tolist()
+    return all(abs(special.gamma(x) * special.rgamma(x) - 1.0) < 1e-12 for x in xs)
+
+
+def _erfcx_decreasing() -> bool:
+    vals = [special.erfcx(x) for x in np.linspace(0.0, 700.0, 10_000).tolist()]
+    return all(0.0 < b < a <= 1.0 for a, b in zip(vals, vals[1:]))
+
+
+ROWS = (
+    Row("criterion 1", "figure max errors", _figure_errors),
+    Row("criterion 2", "worked coefficients", _worked_coefficients),
+    Row("criterion 4", "taylor and asymptotic matching", _matching),
+    Row("criterion 5", "inverse round trip", _inverse_round_trip),
+    Row("criterion 6", "oracle integrity", _oracle_integrity),
+    Row("criterion 7", "relaxation rational form", _relaxation),
+    Row("special", "gamma at one half", lambda: abs(special.gamma(0.5) - _SQRT_PI) < 1e-15),
+    Row("special", "gamma times rgamma", _gamma_rgamma),
+    Row("special", "erfcx decreasing", _erfcx_decreasing),
+)
+
+
+def run_selftest() -> int:
+    """Run every row, printing one PASS/FAIL line each; returns the number of
+    failures."""
     failures = 0
-    for name, fn in _checks():
+    for row in ROWS:
         try:
-            ok = fn()
-            detail = ""
+            ok, detail = row.check(), ""
         except Exception as exc:  # a crash is a failure, not an abort
-            ok = False
-            detail = f" ({type(exc).__name__}: {exc})"
-        if not ok:
-            failures += 1
-        write(f"{'PASS' if ok else 'FAIL'}  {name}{detail}")
+            ok, detail = False, f" ({type(exc).__name__}: {exc})"
+        failures += not ok
+        print(f"{'PASS' if ok else 'FAIL'}  {row.name}{detail}")
     return failures

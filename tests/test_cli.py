@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from mlpade.selftest import ROWS
+
 CMD = [sys.executable, "-m", "mlpade"]
 
 
@@ -140,8 +142,23 @@ def test_non_finite_grid_is_a_domain_error(args):
     assert "Warning" not in r.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("ode", "--relaxation", "--alpha", "0.3", "--c1", "nan"),
+        ("ode", "--relaxation", "--alpha", "0.3", "--lambda", "inf"),
+        ("ode", "--two-term", "--alpha", "0.25", "--beta", "0.75", "--c2", "inf"),
+    ],
+)
+def test_non_finite_ode_constant_is_a_domain_error(args):
+    r = run(*args)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith(f"mlpade: {args[-2].lstrip('-')} must be finite")
+
+
 def test_selftest_passes():
+    # one PASS line per row of the table, in its order
     r = run("selftest")
     assert r.returncode == 0
-    assert "FAIL" not in r.stdout
-    assert r.stdout.count("PASS") >= 9
+    assert r.stdout.splitlines() == [f"PASS  {row.name}" for row in ROWS]

@@ -41,6 +41,14 @@ def test_spec_validation():
         TwoTermSpec(0.75, 0.25, 0.0)
     with pytest.raises(DomainError):
         TwoTermSpec(0.25, 1.0, 0.0)
+    # a non-finite constant is named, not passed on as a nan or an inf result
+    for v in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="^c1 must be finite"):
+            RelaxationSpec(0.3, 1.0, v)
+        with pytest.raises(DomainError, match="^lambda must be finite"):
+            RelaxationSpec(0.3, v, 1.0)
+        with pytest.raises(DomainError, match="^c2 must be finite"):
+            TwoTermSpec(0.25, 0.75, v)
 
 
 def test_t_must_be_positive():

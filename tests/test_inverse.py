@@ -16,11 +16,12 @@ from mlpade import (
     inv_pade,
     inv_pade_from_approx,
 )
+from mlpade.selftest import WORKED
 from mlpade.special import rgamma
 
 SQRT_PI = math.sqrt(math.pi)
 
-WORKED_PAIRS = [(0.5, 1.5), (0.5, 1.0), (0.5, 0.5), (1.0, 2.0)]
+WORKED_PAIRS = list(WORKED)
 
 
 def test_inv_domain():
