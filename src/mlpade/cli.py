@@ -22,7 +22,8 @@ from .fode import (
 )
 from .harness import GridSpec, DEFAULT_GRID, emit_report, error_scan, format_shortest
 from .inverse import inv_pade
-from .pade import build_approx, classify, eval_approx
+from .pade import build_approx, eval_approx
+from .params import classify
 from .reference import ml_oracle
 from .selftest import WORKED, run_selftest
 

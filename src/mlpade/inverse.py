@@ -47,17 +47,15 @@ def inv_pade_from_approx(approx: RationalApprox, y: float) -> float:
     if y == n0:
         # exact boundary: X = 0 is a root since c vanishes identically
         return 0.0
-    # a = d2 > 0 and y <= n0 makes c <= 0, so disc >= b*b >= 0 in floating
+    # a = d2 > 0 and y < n0 makes c < 0, so disc >= b*b >= 0 in floating
     # point too: no clamp, and no NaN, since 4ac is never +inf
     disc = b * b - 4.0 * a * c
     if disc == math.inf:
         return _root_past_overflow(approx, y)
     sq = math.sqrt(disc)
+    # q is never 0: n0/y rounds to >= 1 + 2^-52, so c <= -2^-52 and disc > 0
     q = -0.5 * (b + sq) if b >= 0.0 else -0.5 * (b - sq)
-    if q == 0.0:
-        return 0.0  # double root at the origin
-    # the roots are q/a and c/q, and c < 0 puts one on each side of 0; where c
-    # rounds to 0 the invariant n1 <= n0*d1 keeps b >= 0, so c/q is the root
+    # the roots are q/a and c/q, and c < 0 puts one on each side of 0
     return c / q if b >= 0.0 else q / a
 
 

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, DegenerateSystemError, DomainError
-from .params import MLParams, Regime, argument_array, classify
+from .params import MLParams, Regime, argument_array
 from .special import gamma, rgamma
 
-__all__ = ["RationalApprox", "classify", "build_approx", "eval_approx"]
+__all__ = ["RationalApprox", "build_approx", "eval_approx"]
 
 # for alpha = beta, d1 carries rgamma(1 - 2*alpha), which turns negative past 1/2
 _DIAGONAL_HINT = "; the diagonal approximant needs alpha <= 1/2"

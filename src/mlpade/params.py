@@ -1,13 +1,14 @@
-"""Parameter validation and regime classification for E_{alpha,beta}(-x),
-and the argument check shared by the evaluators that take arrays.
+"""Parameter validation for E_{alpha,beta}(-x), and the argument check
+shared by the evaluators that take arrays.
 
 The approximation construction splits into five mutually exclusive regimes
-inside the complete-monotonicity region {0 < alpha <= 1, beta >= alpha}.
+inside the complete-monotonicity region {0 < alpha <= 1, beta >= alpha},
+and the pair alone decides which: `MLParams` stores only (alpha, beta).
 """
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,15 +25,25 @@ class Regime(enum.Enum):
     PURE_EXPONENTIAL = "exponential"  # alpha = beta = 1
 
 
-@dataclass(frozen=True)
-class MLParams:
+class MLParams(NamedTuple):
+    """A parameter pair, validated when made by `classify`."""
+
     alpha: float
     beta: float
-    regime: Regime
+
+    @property
+    def regime(self) -> Regime:
+        """The pair's unique regime, from the pair alone."""
+        alpha, beta = self
+        if alpha == 1.0:
+            return Regime.PURE_EXPONENTIAL if beta == 1.0 else Regime.ALPHA_ONE
+        if beta == alpha:
+            return Regime.DIAGONAL
+        return Regime.BETA_ONE if beta == 1.0 else Regime.GENERAL_SUB
 
 
 def classify(alpha: float, beta: float) -> MLParams:
-    """Validate (alpha, beta) and assign its unique regime tag.
+    """Validate (alpha, beta) as an `MLParams`.
 
     Raises ParameterDomainError outside {0 < alpha <= 1, beta >= alpha}.
     """
@@ -45,15 +56,7 @@ def classify(alpha: float, beta: float) -> MLParams:
             f"(alpha={alpha!r}, beta={beta!r}) outside the region "
             "0 < alpha <= 1, beta >= alpha"
         )
-    if alpha == 1.0:
-        regime = Regime.PURE_EXPONENTIAL if beta == 1.0 else Regime.ALPHA_ONE
-    elif beta == alpha:
-        regime = Regime.DIAGONAL
-    elif beta == 1.0:
-        regime = Regime.BETA_ONE
-    else:
-        regime = Regime.GENERAL_SUB
-    return MLParams(alpha, beta, regime)
+    return MLParams(alpha, beta)
 
 
 def argument_array(x: np.ndarray, op: str) -> np.ndarray:

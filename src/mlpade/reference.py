@@ -79,15 +79,6 @@ _WEIGHTS = np.exp(_U) * _DU / (0.5j * _N)
 _LOG_U = np.log(_U)
 
 
-def _neumaier(s: float, c: float, t: float) -> tuple[float, float]:
-    tot = s + t
-    if abs(s) >= abs(t):
-        c += (s - tot) + t
-    else:
-        c += (t - tot) + s
-    return tot, c
-
-
 def ml_taylor(params: MLParams, x: float) -> float:
     """Double-precision Taylor sum of E_{alpha,beta}(-x), for small x.
 
@@ -99,7 +90,8 @@ def ml_taylor(params: MLParams, x: float) -> float:
         raise DomainError(f"ml_taylor requires finite x >= 0, got {x!r}")
     alpha, beta = params.alpha, params.beta
     lnx = math.log(x) if x > 0.0 else -math.inf
-    s, c = rgamma(beta), 0.0
+    terms = [rgamma(beta)]
+    s = terms[0]  # the running sum, for the stop test only
     for k in range(1, _MAX_TERMS + 1):
         lt = k * lnx
         if lt < 700.0:
@@ -111,9 +103,10 @@ def ml_taylor(params: MLParams, x: float) -> float:
                 f"Taylor term {k} has magnitude {mag:.3g} > e^7; the double-precision "
                 f"sum would lose its accuracy (alpha={alpha}, beta={beta}, x={x})"
             )
-        s, c = _neumaier(s, c, mag if k % 2 == 0 else -mag)
-        if mag <= _TAYLOR_TERM_TOL * abs(s + c):
-            return s + c
+        terms.append(mag if k % 2 == 0 else -mag)
+        s += terms[-1]
+        if mag <= _TAYLOR_TERM_TOL * abs(s):
+            return math.fsum(terms)
     raise NonConvergenceError(
         f"Taylor series not converged after {_MAX_TERMS} terms "
         f"(alpha={alpha}, beta={beta}, x={x})"

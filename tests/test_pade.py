@@ -9,6 +9,7 @@ from mlpade import (
     ConstructionError,
     DegenerateSystemError,
     DomainError,
+    MLParams,
     ParameterDomainError,
     RationalApprox,
     Regime,
@@ -36,11 +37,22 @@ def grid_pairs():
 
 
 def test_classify_regimes():
-    assert classify(0.5, 1.5).regime is Regime.GENERAL_SUB
-    assert classify(0.5, 1.0).regime is Regime.BETA_ONE
-    assert classify(0.5, 0.5).regime is Regime.DIAGONAL
-    assert classify(1.0, 2.0).regime is Regime.ALPHA_ONE
-    assert classify(1.0, 1.0).regime is Regime.PURE_EXPONENTIAL
+    for (a, b), regime in [
+        ((0.5, 1.5), Regime.GENERAL_SUB),
+        ((0.5, 1.0), Regime.BETA_ONE),
+        ((0.5, 0.5), Regime.DIAGONAL),
+        ((1.0, 2.0), Regime.ALPHA_ONE),
+        ((1.0, 1.0), Regime.PURE_EXPONENTIAL),
+    ]:
+        assert classify(a, b).regime is regime
+        assert MLParams(a, b).regime is regime
+
+
+def test_params_are_the_pair_alone():
+    assert MLParams._fields == ("alpha", "beta")
+    # a regime cannot be stored beside the pair, so it cannot contradict it
+    with pytest.raises(TypeError):
+        MLParams(0.5, 1.5, Regime.DIAGONAL)
 
 
 @pytest.mark.parametrize(
@@ -298,6 +310,12 @@ REGIME_PAIRS = [(0.5, 1.5), (0.5, 1.0), (0.5, 0.5), (1.0, 2.0), (1.0, 1.0)]
 def test_build_approx_is_memoised_per_params(a, b):
     # two equal MLParams built apart share one approximant
     assert build_approx(classify(a, b)) is build_approx(classify(a, b))
+
+
+def test_hand_made_params_share_the_memoised_approximant():
+    ap = build_approx(MLParams(0.5, 1.5))
+    assert ap is build_approx(classify(0.5, 1.5))
+    assert eval_approx(ap, 1.0) == pytest.approx(0.569, abs=5e-4)
 
 
 @pytest.mark.parametrize("a,b", [(0.8, 0.8), (0.5, 172.0)])
