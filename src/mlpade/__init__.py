@@ -5,14 +5,11 @@ Riemann-Liouville fractional relaxation equations.
 """
 
 from .errors import (
-    BracketError,
     ConstructionError,
-    DegenerateSystemError,
     DomainError,
     MLPadeError,
     NonConvergenceError,
     ParameterDomainError,
-    PoleError,
     ResultOverflowError,
 )
 from .fode import (
@@ -32,7 +29,7 @@ from .harness import (
     format_shortest,
     inverse_error_scan,
 )
-from .inverse import inv_domain, inv_pade, inv_pade_from_approx
+from .inverse import inv_pade, inv_pade_from_approx
 from .pade import RationalApprox, build_approx, eval_approx
 from .params import MLParams, Regime, classify
 from .reference import ml_asymptotic, ml_closed_form, ml_oracle, ml_taylor
@@ -50,7 +47,6 @@ __all__ = [
     "build_approx",
     "eval_approx",
     # inverse
-    "inv_domain",
     "inv_pade",
     "inv_pade_from_approx",
     # reference oracle
@@ -77,10 +73,7 @@ __all__ = [
     "MLPadeError",
     "DomainError",
     "ParameterDomainError",
-    "PoleError",
     "NonConvergenceError",
-    "DegenerateSystemError",
     "ConstructionError",
     "ResultOverflowError",
-    "BracketError",
 ]

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all mlpade modules."""
+"""Exception hierarchy shared by all mlpade modules: one class per outcome a
+caller can act on. The CLI exits 3 on a DomainError and 4 on any other."""
 
 
 class MLPadeError(Exception):
@@ -13,27 +14,16 @@ class ParameterDomainError(DomainError):
     """(alpha, beta) lies outside the complete-monotonicity region."""
 
 
-class PoleError(DomainError):
-    """Gamma evaluated at a nonpositive integer."""
-
-
 class NonConvergenceError(MLPadeError, ArithmeticError):
-    """A series failed to converge within the configured term budget."""
-
-
-class DegenerateSystemError(MLPadeError, ArithmeticError):
-    """The coefficients' matching conditions are degenerate beyond tolerance."""
+    """A series or a bisection gave up within its budget."""
 
 
 class ConstructionError(MLPadeError, ArithmeticError):
-    """An approximant cannot be built: its coefficients overflow, or they
-    break the invariant n0 > 0, n1 >= 0, d2 > 0, n1 <= n0*d1 that makes
-    (n0 + n1*x)/(1 + d1*x + d2*x^2) positive and nonincreasing on [0, inf)."""
+    """An approximant cannot be built: its matching conditions are degenerate,
+    its coefficients overflow, or they break the invariant n0 > 0, n1 >= 0,
+    d2 > 0, n1 <= n0*d1 that makes (n0 + n1*x)/(1 + d1*x + d2*x^2) positive
+    and nonincreasing on [0, inf)."""
 
 
 class ResultOverflowError(MLPadeError, OverflowError):
     """The exact result lies beyond the largest finite double."""
-
-
-class BracketError(MLPadeError, ArithmeticError):
-    """Bisection could not bracket a root (non-monotone data)."""

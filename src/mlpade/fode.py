@@ -6,10 +6,11 @@ solved by f(t) = C1 * t^{-alpha} * E_{alpha,alpha}(-lambda*t^alpha).
 Two-term impulse equation:  D^alpha g + D^beta g = delta(t) with 0<alpha<beta<1,
 solved by g(t) = (C2+1) * t^{beta-1} * E_{beta-alpha,beta}(-t^{beta-alpha}).
 
-Both are c * t^p * E_{a,b}(-lambda*t^q): the exact solutions take E from the
-oracle, the rational ones from `spec.approx`, the approximant built once per
-spec, whose checks they share (above alpha = 1/2 the diagonal approximant is
-not monotone and `relaxation_pade` raises ConstructionError).
+Both are c * t^p * E_{a,b}(-lambda*t^q) with (a, b) = `spec.params`: the
+exact solutions take E from the oracle, the rational ones from `spec.approx`,
+the approximant built once per spec, whose checks they share (above
+alpha = 1/2 the diagonal approximant is not monotone and `relaxation_pade`
+raises ConstructionError).
 
 The t^{-alpha} relaxation prefactor follows the source formula; the classical
 literature uses t^{alpha-1} (the two agree only at alpha = 1/2), so both are
@@ -23,7 +24,7 @@ from functools import cached_property
 
 from .errors import DomainError
 from .pade import RationalApprox, build_approx, eval_approx
-from .params import classify
+from .params import MLParams
 from .reference import ml_oracle
 
 __all__ = [
@@ -53,8 +54,12 @@ class RelaxationSpec:
             raise DomainError(f"c1 must be finite, got {self.c1!r}")
 
     @cached_property
+    def params(self) -> MLParams:
+        return MLParams(self.alpha, self.alpha)
+
+    @cached_property
     def approx(self) -> RationalApprox:
-        return build_approx(classify(self.alpha, self.alpha))
+        return build_approx(self.params)
 
 
 @dataclass(frozen=True)
@@ -72,8 +77,12 @@ class TwoTermSpec:
             raise DomainError(f"c2 must be finite, got {self.c2!r}")
 
     @cached_property
+    def params(self) -> MLParams:
+        return MLParams(self.beta - self.alpha, self.beta)
+
+    @cached_property
     def approx(self) -> RationalApprox:
-        return build_approx(classify(self.beta - self.alpha, self.beta))
+        return build_approx(self.params)
 
 
 def _check_t(t: float) -> None:
@@ -91,8 +100,7 @@ def _relax_prefactor(alpha: float, t: float, prefactor: str) -> float:
 
 def relaxation_exact(spec: RelaxationSpec, t: float, prefactor: str = "paper") -> float:
     _check_t(t)
-    params = classify(spec.alpha, spec.alpha)
-    value = ml_oracle(params, spec.lam * t**spec.alpha)
+    value = ml_oracle(spec.params, spec.lam * t**spec.alpha)
     return spec.c1 * _relax_prefactor(spec.alpha, t, prefactor) * value
 
 
@@ -106,8 +114,7 @@ def relaxation_pade(spec: RelaxationSpec, t: float, prefactor: str = "paper") ->
 def two_term_exact(spec: TwoTermSpec, t: float) -> float:
     _check_t(t)
     a, b = spec.alpha, spec.beta
-    params = classify(b - a, b)
-    return (spec.c2 + 1.0) * t ** (b - 1.0) * ml_oracle(params, t ** (b - a))
+    return (spec.c2 + 1.0) * t ** (b - 1.0) * ml_oracle(spec.params, t ** (b - a))
 
 
 def two_term_pade(spec: TwoTermSpec, t: float) -> float:

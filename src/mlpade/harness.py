@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketError, DomainError
+from .errors import DomainError, NonConvergenceError
 from .inverse import inv_pade_from_approx
 from .pade import build_approx, eval_approx
 from .params import MLParams
@@ -85,11 +85,9 @@ def error_scan(params: MLParams, grid: GridSpec = DEFAULT_GRID) -> ErrorReport:
 
 
 def _bisect_inverse(params, y):
-    """True inverse of the oracle at y, by bracketing bisection until the
-    bracket's values differ by at most 1e-10."""
+    """True inverse of the oracle at y in (0, 1/Gamma(beta)], by bracketing
+    bisection until the bracket's values differ by at most 1e-10."""
     lo, y_lo = 0.0, rgamma(params.beta)
-    if y > y_lo:
-        raise BracketError(f"y={y!r} exceeds the value at 0")
     if y == y_lo:
         return 0.0
     hi = 1.0
@@ -98,7 +96,7 @@ def _bisect_inverse(params, y):
         lo, y_lo = hi, y_hi
         hi *= 4.0
         if hi > 1e15:
-            raise BracketError(f"could not bracket the inverse of y={y!r}")
+            raise NonConvergenceError(f"could not bracket the inverse of y={y!r}")
         y_hi = ml_oracle(params, hi)
     for _ in range(200):
         if y_lo - y_hi <= 1e-10 or (hi - lo) <= 1e-15 * (1.0 + hi):

@@ -18,18 +18,12 @@ import math
 from .errors import DomainError, ResultOverflowError
 from .pade import RationalApprox, build_approx
 from .params import MLParams, Regime
-from .special import rgamma
 
-__all__ = ["inv_domain", "inv_pade", "inv_pade_from_approx"]
+__all__ = ["inv_pade", "inv_pade_from_approx"]
 
 # inv_pade_from_approx's regime test, as in pade.py: cheaper than the
 # attribute lookup on the Enum class
 _PURE_EXPONENTIAL = Regime.PURE_EXPONENTIAL
-
-
-def inv_domain(params: MLParams) -> tuple[float, float]:
-    """Half-open domain (lo, hi] of the inverse: lo = 0, hi = 1/Gamma(beta)."""
-    return 0.0, rgamma(params.beta)
 
 
 def inv_pade_from_approx(approx: RationalApprox, y: float) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DegenerateSystemError, DomainError
+from .errors import ConstructionError, DomainError
 from .params import MLParams, Regime, argument_array
 from .special import gamma, rgamma
 
@@ -107,7 +107,7 @@ def build_approx(params: MLParams) -> RationalApprox:
     g, p = gbm / gb, gb / gbp
     t = 1.0 - g * gbm * rgamma(b - 2.0 * a)
     if not (g - p > 1e-14 * p and t > 0.0):
-        raise DegenerateSystemError(
+        raise ConstructionError(
             f"coefficient denominator degenerate for alpha={a}, beta={b}"
         )
     u = (g - p) / t

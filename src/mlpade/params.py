@@ -3,7 +3,8 @@ shared by the evaluators that take arrays.
 
 The approximation construction splits into five mutually exclusive regimes
 inside the complete-monotonicity region {0 < alpha <= 1, beta >= alpha},
-and the pair alone decides which: `MLParams` stores only (alpha, beta).
+and the pair alone decides which: `MLParams` stores only (alpha, beta), and
+refuses a pair outside the region however it is made.
 """
 
 import enum
@@ -25,11 +26,32 @@ class Regime(enum.Enum):
     PURE_EXPONENTIAL = "exponential"  # alpha = beta = 1
 
 
-class MLParams(NamedTuple):
-    """A parameter pair, validated when made by `classify`."""
-
+class _Pair(NamedTuple):
     alpha: float
     beta: float
+
+
+class MLParams(_Pair):
+    """A parameter pair inside the region. Every way to make one (the
+    constructor, `classify`, `_make`, `_replace`) validates the pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: float, beta: float):
+        alpha = float(alpha)
+        beta = float(beta)
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise ParameterDomainError(f"non-finite parameters ({alpha!r}, {beta!r})")
+        if not (0.0 < alpha <= 1.0 and beta >= alpha):
+            raise ParameterDomainError(
+                f"(alpha={alpha!r}, beta={beta!r}) outside the region "
+                "0 < alpha <= 1, beta >= alpha"
+            )
+        return tuple.__new__(cls, (alpha, beta))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def regime(self) -> Regime:
@@ -47,15 +69,6 @@ def classify(alpha: float, beta: float) -> MLParams:
 
     Raises ParameterDomainError outside {0 < alpha <= 1, beta >= alpha}.
     """
-    alpha = float(alpha)
-    beta = float(beta)
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise ParameterDomainError(f"non-finite parameters ({alpha!r}, {beta!r})")
-    if not (0.0 < alpha <= 1.0 and beta >= alpha):
-        raise ParameterDomainError(
-            f"(alpha={alpha!r}, beta={beta!r}) outside the region "
-            "0 < alpha <= 1, beta >= alpha"
-        )
     return MLParams(alpha, beta)
 
 

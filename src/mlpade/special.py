@@ -7,7 +7,7 @@ instead of an overflow or NaN; past Gamma's overflow it returns 0 as well.
 
 import math
 
-from .errors import DomainError, PoleError
+from .errors import DomainError
 
 __all__ = ["gamma", "rgamma", "erfcx", "erfcx_series_tail", "is_nonpositive_integer"]
 
@@ -20,9 +20,9 @@ def is_nonpositive_integer(x: float) -> bool:
 
 
 def gamma(x: float) -> float:
-    """Gamma function. Raises PoleError at nonpositive integers; inf past overflow."""
+    """Gamma function. Raises DomainError at nonpositive integers; inf past overflow."""
     if is_nonpositive_integer(x):
-        raise PoleError(f"gamma pole at x={x!r}")
+        raise DomainError(f"gamma pole at x={x!r}")
     try:
         return math.gamma(x)
     except OverflowError:

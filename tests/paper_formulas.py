@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mlpade import DegenerateSystemError, MLParams, ParameterDomainError, Regime
+from mlpade import ConstructionError, MLParams, ParameterDomainError, Regime
 from mlpade.fode import RelaxationSpec, TwoTermSpec
 from mlpade.special import gamma, rgamma
 
@@ -61,10 +61,10 @@ def solve_hermite_pade(params: MLParams) -> PadeCoeffs:
     )
     rhs = np.array([0.0, 0.0, -1.0, -g2])
     if not np.all(np.isfinite(mat)):
-        raise DegenerateSystemError("non-finite matching coefficients")
+        raise ConstructionError("non-finite matching coefficients")
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or 1.0 / cond < 1e-8:
-        raise DegenerateSystemError(
+        raise ConstructionError(
             f"matching system singular beyond tolerance (rcond={1.0 / cond:.3e})"
         )
     p0, p1, q0, q1 = np.linalg.solve(mat, rhs)
@@ -81,7 +81,7 @@ def coeffs_from_closed_form(params: MLParams) -> PadeCoeffs:
     rg2 = rgamma(b - 2.0 * a)
     den = gbp * gbm - gb * gb
     if abs(den) < 1e-14 * gb * gb:
-        raise DegenerateSystemError(
+        raise ConstructionError(
             f"coefficient denominator degenerate for alpha={a}, beta={b}"
         )
     p1 = (gb * gbp - gbp * gbm * gbm * rg2) / den

@@ -72,6 +72,13 @@ def test_numerical_failure_exit_code():
     assert r.stdout == ""
 
 
+def test_degenerate_construction_exit_code():
+    r = run("coeffs", "--alpha", "1e-9", "--beta", "2")
+    assert r.returncode == 4
+    assert r.stdout == ""
+    assert r.stderr == "mlpade: coefficient denominator degenerate for alpha=1e-09, beta=2.0\n"
+
+
 def test_ode_relaxation_above_alpha_star_fails():
     # the diagonal approximant is refused above alpha = 1/2
     for alpha in ("0.8", "0.6"):

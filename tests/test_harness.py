@@ -9,6 +9,7 @@ from mlpade import (
     DEFAULT_GRID,
     DomainError,
     GridSpec,
+    NonConvergenceError,
     build_approx,
     classify,
     emit_report,
@@ -131,6 +132,12 @@ def test_inverse_scan_beta_one():
 def test_inverse_scan_rejects_out_of_domain_grid():
     with pytest.raises(DomainError):
         inverse_error_scan(classify(0.5, 0.5), GridSpec(1e-2, 1.0, 10))
+
+
+def test_inverse_scan_bisection_gives_up_past_its_budget():
+    # E_{0.3,0.9}(-x) decays like 1/x, so y = 1e-20 lies beyond x = 1e15
+    with pytest.raises(NonConvergenceError, match="could not bracket"):
+        inverse_error_scan(classify(0.3, 0.9), GridSpec(1e-20, 1e-19, 2))
 
 
 def _scan_by_point(params, grid):

@@ -12,7 +12,6 @@ from mlpade import (
     build_approx,
     classify,
     eval_approx,
-    inv_domain,
     inv_pade,
     inv_pade_from_approx,
 )
@@ -22,12 +21,6 @@ from mlpade.special import rgamma
 SQRT_PI = math.sqrt(math.pi)
 
 WORKED_PAIRS = list(WORKED)
-
-
-def test_inv_domain():
-    assert inv_domain(classify(0.5, 1.0)) == (0.0, 1.0)
-    assert inv_domain(classify(0.5, 0.5)) == (0.0, 1.0 / SQRT_PI)
-    assert inv_domain(classify(1.0, 2.0)) == (0.0, 1.0)
 
 
 @pytest.mark.parametrize("a,b", WORKED_PAIRS + [(0.3, 0.8), (1.0, 1.0)])

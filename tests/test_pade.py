@@ -7,7 +7,6 @@ import pytest
 
 from mlpade import (
     ConstructionError,
-    DegenerateSystemError,
     DomainError,
     MLParams,
     ParameterDomainError,
@@ -55,12 +54,25 @@ def test_params_are_the_pair_alone():
         MLParams(0.5, 1.5, Regime.DIAGONAL)
 
 
+# MLParams refuses them too, so a record made by hand cannot reach
+# build_approx: (2, 3) would build with A(1) = 0.4146 against
+# E_{2,3}(-1) = 0.4597
 @pytest.mark.parametrize(
-    "a,b", [(1.0, 0.5), (0.0, 1.0), (1.5, 2.0), (-0.5, 1.0), (0.5, 0.4)]
+    "a,b",
+    [(1.0, 0.5), (0.0, 1.0), (1.5, 2.0), (-0.5, 1.0), (0.5, 0.4),
+     (2.0, 3.0), (0.8, 0.5), (0.5, math.nan)],
 )
 def test_classify_rejects_invalid(a, b):
     with pytest.raises(ParameterDomainError):
         classify(a, b)
+    with pytest.raises(ParameterDomainError):
+        MLParams(a, b)
+
+
+def test_params_replace_is_validated():
+    assert MLParams(0.5, 1.5)._replace(beta=2.0) == (0.5, 2.0)
+    with pytest.raises(ParameterDomainError):
+        MLParams(0.5, 1.5)._replace(alpha=2.0)
 
 
 def test_worked_coefficients_general():
@@ -113,8 +125,8 @@ def test_construction_paths_agree_on_grid():
             continue
         try:
             num = solve_hermite_pade(params)
-        except DegenerateSystemError:
-            with pytest.raises(DegenerateSystemError):
+        except ConstructionError:
+            with pytest.raises(ConstructionError):
                 coeffs_from_closed_form(params)
             continue
         ref = coeffs_from_closed_form(params)
@@ -136,7 +148,7 @@ def _buildable_pairs():
     for a, b in grid_pairs():
         try:
             out.append((a, b, build_approx(classify(a, b))))
-        except (ConstructionError, DegenerateSystemError):
+        except ConstructionError:
             continue
     return out
 
@@ -378,5 +390,5 @@ def test_gamma_overflow_is_a_construction_error(a, b):
 
 
 def test_tiny_alpha_is_degenerate():
-    with pytest.raises(DegenerateSystemError):
+    with pytest.raises(ConstructionError, match="denominator degenerate"):
         build_approx(classify(1e-9, 2.0))
