@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .params import MLParams, Regime, argument_array
-from .special import gamma, rgamma
+from .special import gamma, libm_map, rgamma
 
 __all__ = ["RationalApprox", "build_approx", "eval_approx"]
 
@@ -119,18 +119,29 @@ def eval_approx(approx: RationalApprox, x):
     """Evaluate the approximant at x >= 0: a float, or a 1-D array evaluated
     entry by entry to the same values as float calls."""
     # a float, the hot case, skips the slower isinstance test
-    if type(x) is not float and isinstance(x, np.ndarray):
+    if type(x) is not float:
+        if not isinstance(x, np.ndarray):
+            return eval_approx(approx, float(x))
         x = argument_array(x, "eval_approx")
         if approx.regime is _PURE_EXPONENTIAL:
-            return np.array([math.exp(-v) for v in x.tolist()])
-        if x.max(initial=0.0) > 1e100:  # the rescaled form below, entry by entry
-            return np.array([eval_approx(approx, v) for v in x.tolist()])
+            return libm_map(math.exp, -x)
+        far = x > 1e100
+        if far.any():
+            out = np.empty(x.shape)
+            out[far] = _rescaled(approx, x[far])
+            out[~far] = eval_approx(approx, x[~far])
+            return out
     elif x < 0.0 or not math.isfinite(x):
         raise DomainError(f"eval_approx requires finite x >= 0, got {x!r}")
     elif approx.regime is _PURE_EXPONENTIAL:
         return math.exp(-x)
     elif x > 1e100:
-        # divided through by x^2, and by x once more at the end, so neither
-        # x*x nor d2*x overflows and a subnormal result is rounded once
-        return (approx.n0 / x + approx.n1) / ((1.0 / x + approx.d1) / x + approx.d2) / x
+        return _rescaled(approx, x)
     return (approx.n0 + approx.n1 * x) / (1.0 + approx.d1 * x + approx.d2 * x * x)
+
+
+def _rescaled(approx: RationalApprox, x):
+    """A(x) for x > 1e100, divided through by x^2, and by x once more at the
+    end, so neither x*x nor d2*x overflows and a subnormal result is rounded
+    once."""
+    return (approx.n0 / x + approx.n1) / ((1.0 / x + approx.d1) / x + approx.d2) / x

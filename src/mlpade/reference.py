@@ -27,9 +27,11 @@ one of three evaluations:
 Accuracy target: absolute error <= 1e-10 below x**(1/alpha) = 40, relative
 error <= 1e-6 beyond it.
 
-An array is evaluated in one pass: the closed forms entry by entry, the series
-and the contour each as one array kernel, of which a float argument is the
-one-entry case, so each entry equals the float call bit for bit.
+An array is evaluated in one pass, each entry equal to the float call bit for
+bit. Each closed form is one function of a float or an array, whose branches
+become masks on an array and whose `math` calls are mapped over the masked
+entries (`special.libm_map`). The series and the contour are each one array
+kernel, of which a float argument is the one-entry case.
 
 `ml_taylor`, a plain double-precision Taylor sum for small x, is not used by
 the oracle; it remains as an independent check of the closed forms.
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 from .params import MLParams, argument_array
-from .special import erfcx, erfcx_series_tail, rgamma
+from .special import ARRAY_MATH, erfcx, erfcx_series_tail, piecewise, rgamma
 
 __all__ = [
     "ml_taylor",
@@ -52,6 +54,8 @@ __all__ = [
 
 _LN_PI = math.log(math.pi)
 _SQRT_PI = math.sqrt(math.pi)
+_RGAMMA_HALF = rgamma(0.5)
+_RGAMMA_THREE_HALVES = rgamma(1.5)
 # Gamma overflows a little above this argument
 _GAMMA_MAX_ARG = 171.6
 _LN_TINY = -745.0
@@ -191,45 +195,72 @@ def ml_asymptotic(params: MLParams, x: float) -> float:
     return float(_series(params.alpha, params.beta, np.array([float(x)]))[0])
 
 
-def _closed_form(params: MLParams):
-    """The scalar closed form x -> E_{alpha,beta}(-x) of `params`, or None."""
-    a, b = params.alpha, params.beta
-    if a == 0.5:
-        return {1.0: erfcx, 1.5: _half_three_halves, 0.5: _half_half}.get(b)
-    if a == 1.0:
-        return {1.0: _exp_neg, 2.0: _one_two}.get(b)
-    return None
+def _exp_neg(x):
+    return math.exp(-x) if type(x) is float else ARRAY_MATH.exp(-x)
 
 
-def _exp_neg(x: float) -> float:
-    return math.exp(-x)
+def _half_three_halves(x):
+    if type(x) is float:
+        if x == 0.0:
+            return _RGAMMA_THREE_HALVES
+        return _h32_near(x) if x < 0.5 else _h32_far(x)
+    zero = (x == 0.0, lambda v: _RGAMMA_THREE_HALVES)
+    return piecewise(x, [zero, (x < 0.5, _h32_near)], _h32_far)
 
 
-def _half_three_halves(x: float) -> float:
-    if x == 0.0:
-        return rgamma(1.5)
-    if x < 0.5:  # 1 - erfcx(x) without its cancellation
-        return (math.exp(x * x) * math.erf(x) - math.expm1(x * x)) / x
+def _h32_near(x):
+    # (1 - erfcx(x))/x for 0 < x < 0.5, without the difference's cancellation
+    m = math if type(x) is float else ARRAY_MATH
+    return (m.exp(x * x) * m.erf(x) - m.expm1(x * x)) / x
+
+
+def _h32_far(x):
     return (1.0 - erfcx(x)) / x
 
 
-def _half_half(x: float) -> float:
-    if x < 26.0:
-        return rgamma(0.5) - x * erfcx(x)
-    # 1/sqrt(pi) - x*erfcx(x) without its cancellation
+def _half_half(x):
+    if type(x) is float:
+        return _hh_near(x) if x < 26.0 else _hh_far(x)
+    return piecewise(x, [(x < 26.0, _hh_near)], _hh_far)
+
+
+def _hh_near(x):
+    return _RGAMMA_HALF - x * erfcx(x)
+
+
+def _hh_far(x):
+    # 1/sqrt(pi) - x*erfcx(x) for x >= 26, without the difference's cancellation
     return erfcx_series_tail(x) / _SQRT_PI
 
 
-def _one_two(x: float) -> float:
-    return 1.0 if x == 0.0 else -math.expm1(-x) / x
+def _one_two(x):
+    if type(x) is float:
+        return 1.0 if x == 0.0 else _one_two_nonzero(x)
+    return piecewise(x, [(x == 0.0, lambda v: 1.0)], _one_two_nonzero)
+
+
+def _one_two_nonzero(x):
+    return -(math.expm1(-x) if type(x) is float else ARRAY_MATH.expm1(-x)) / x
+
+
+# the pairs with an erfcx/exp closed form, each a function of a float or a
+# 1-D array
+_CLOSED_FORMS = {
+    (0.5, 1.0): erfcx,
+    (0.5, 1.5): _half_three_halves,
+    (0.5, 0.5): _half_half,
+    (1.0, 1.0): _exp_neg,
+    (1.0, 2.0): _one_two,
+}
 
 
 def ml_closed_form(params: MLParams, x: float) -> float | None:
     """Exact value for the parameter pairs with an erfcx/exp closed form,
     else None."""
+    x = float(x)
     if x < 0.0 or not math.isfinite(x):
         raise DomainError(f"ml_closed_form requires finite x >= 0, got {x!r}")
-    closed = _closed_form(params)
+    closed = _CLOSED_FORMS.get(params)
     return None if closed is None else closed(x)
 
 
@@ -246,28 +277,31 @@ def ml_oracle(params: MLParams, x):
     """Reference value of E_{alpha,beta}(-x) at x >= 0, a float or a 1-D array:
     closed form where one exists, 1/Gamma(beta) at x = 0, the asymptotic
     series once x**(1/alpha) >= 40, else the contour integral."""
-    closed = _closed_form(params)
+    closed = _CLOSED_FORMS.get(params)
     alpha, beta = params.alpha, params.beta
     cutoff = _ASYM_CUTOFF**alpha
-    if not isinstance(x, np.ndarray):
-        # a float takes its path directly: the array bookkeeping below would
-        # double the cost of a contour point
-        if x < 0.0 or not math.isfinite(x):
-            raise DomainError(f"ml_oracle requires finite x >= 0, got {x!r}")
-        if closed is not None:
-            return closed(x)
-        if x == 0.0:
-            return rgamma(beta)
-        kernel = _series if x >= cutoff else _ml_contour
-        return float(kernel(alpha, beta, np.array([float(x)]))[0])
-    xs = argument_array(x, "ml_oracle")
+    if type(x) is not float:
+        if isinstance(x, np.ndarray):
+            xs = argument_array(x, "ml_oracle")
+            if closed is not None:
+                with np.errstate(over="ignore"):  # x*x is inf past 1.3e154, as for a float
+                    return closed(xs)
+            out = np.full(xs.shape, rgamma(beta))
+            far = xs >= cutoff
+            near = (xs > 0.0) & ~far
+            if far.any():
+                out[far] = _series(alpha, beta, xs[far])
+            if near.any():
+                out[near] = _ml_contour(alpha, beta, xs[near])
+            return out
+        x = float(x)
+    # a float takes its path directly: the array bookkeeping above would
+    # double the cost of a contour point
+    if x < 0.0 or not math.isfinite(x):
+        raise DomainError(f"ml_oracle requires finite x >= 0, got {x!r}")
     if closed is not None:
-        return np.array([closed(v) for v in xs.tolist()])
-    out = np.full(xs.shape, rgamma(beta))
-    far = xs >= cutoff
-    near = (xs > 0.0) & ~far
-    if far.any():
-        out[far] = _series(alpha, beta, xs[far])
-    if near.any():
-        out[near] = _ml_contour(alpha, beta, xs[near])
-    return out
+        return closed(x)
+    if x == 0.0:
+        return rgamma(beta)
+    kernel = _series if x >= cutoff else _ml_contour
+    return float(kernel(alpha, beta, np.array([x]))[0])

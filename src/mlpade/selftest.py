@@ -163,7 +163,7 @@ def _gamma_rgamma() -> bool:
 
 
 def _erfcx_decreasing() -> bool:
-    vals = [special.erfcx(x) for x in np.linspace(0.0, 700.0, 10_000).tolist()]
+    vals = special.erfcx(np.linspace(0.0, 700.0, 10_000)).tolist()
     return all(0.0 < b < a <= 1.0 for a, b in zip(vals, vals[1:]))
 
 

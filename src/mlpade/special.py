@@ -3,15 +3,63 @@
 Everything downstream routes reciprocal-gamma factors through :func:`rgamma`
 so that parameter combinations hitting poles of Gamma produce an exact zero
 instead of an overflow or NaN; past Gamma's overflow it returns 0 as well.
+
+`erfcx` and `erfcx_series_tail` take a float or a 1-D float array. On an
+array each `math` function is mapped over the entries in one C-level loop
+(`libm_map`), and each branch is a mask, so every entry equals the float call
+bit for bit. numpy's own exp and expm1 run SIMD loops whose last bits differ
+from libm's, which would move the closed forms' values.
 """
 
 import math
+from functools import partial
+from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["gamma", "rgamma", "erfcx", "erfcx_series_tail", "is_nonpositive_integer"]
+__all__ = [
+    "gamma",
+    "rgamma",
+    "erfcx",
+    "erfcx_series_tail",
+    "is_nonpositive_integer",
+    "libm_map",
+    "piecewise",
+    "ARRAY_MATH",
+]
 
 _SQRT_PI = math.sqrt(math.pi)
+
+
+def libm_map(fn, v: np.ndarray) -> np.ndarray:
+    """The float function fn at every entry of the float array v, in one
+    C-level map of float calls: each entry equals fn(entry) bit for bit."""
+    return np.fromiter(map(fn, v.tolist()), float, v.size)
+
+
+# the `math` functions the closed forms call, as they apply to an array
+ARRAY_MATH = SimpleNamespace(
+    exp=partial(libm_map, math.exp),
+    expm1=partial(libm_map, math.expm1),
+    erf=partial(libm_map, math.erf),
+    erfc=partial(libm_map, math.erfc),
+    floor=np.floor,  # exact, as math.floor is
+)
+
+
+def piecewise(x: np.ndarray, pieces, rest) -> np.ndarray:
+    """At every entry of the float array x, f(entries) of the first (mask, f)
+    in `pieces` whose mask holds there, or rest(entries) where none holds."""
+    out = np.empty(x.shape)
+    left = np.ones(x.shape, dtype=bool)
+    for mask, f in pieces:
+        take = mask & left
+        out[take] = f(x[take])
+        left &= ~mask
+    out[left] = rest(x[left])
+    return out
 
 
 def is_nonpositive_integer(x: float) -> bool:
@@ -41,23 +89,40 @@ def rgamma(x: float) -> float:
     return 1.0 / g if g else math.copysign(math.inf, g)
 
 
-def erfcx(x: float) -> float:
+def erfcx(x):
     """Scaled complementary error function exp(x^2)*erfc(x), overflow-free, for
-    x >= 0. Below 26, exp of x^2 = xh^2 + (x - xh)(x + xh) split exactly (xh on
-    20 fractional bits, so xh^2 is exact); from 26 up, 8 terms of the asymptotic
-    series in 1/(2x^2), whose 9th term is below 2e-19 there."""
+    x >= 0: a float, or a 1-D float array evaluated to the float call's value
+    at every entry. Below 26, exp of x^2 = xh^2 + (x - xh)(x + xh) split
+    exactly (xh on 20 fractional bits, so xh^2 is exact); from 26 up, 8 terms
+    of the asymptotic series in 1/(2x^2), whose 9th term is below 2e-19 there."""
+    if type(x) is not float:
+        if isinstance(x, np.ndarray):
+            if x.min(initial=0.0) < 0.0:
+                raise DomainError(f"erfcx requires x >= 0, got {float(x[x < 0.0][0])!r}")
+            with np.errstate(over="ignore"):  # x*x is inf past 1.3e154, as for a float
+                return piecewise(x, [(x < 26.0, _erfcx_near)], _erfcx_far)
+        x = float(x)
     if x < 0.0:
         raise DomainError(f"erfcx requires x >= 0, got {x!r}")
-    if x < 26.0:
-        xh = math.floor(x * 1048576.0) / 1048576.0
-        return math.exp(xh * xh) * math.exp((x - xh) * (x + xh)) * math.erfc(x)
+    return _erfcx_near(x) if x < 26.0 else _erfcx_far(x)
+
+
+def _erfcx_near(x):
+    m = math if type(x) is float else ARRAY_MATH
+    xh = m.floor(x * 1048576.0) / 1048576.0
+    return m.exp(xh * xh) * m.exp((x - xh) * (x + xh)) * m.erfc(x)
+
+
+def _erfcx_far(x):
     return (1.0 - erfcx_series_tail(x)) / _SQRT_PI / x
 
 
-def erfcx_series_tail(x: float) -> float:
-    """1 - sqrt(pi)*x*erfcx(x) for x >= 26: the terms of erfcx's asymptotic
-    series after its leading 1, v - 3v^2 + 15v^3 - ... + 135135v^7 with
-    v = 1/(2x^2), summed without the cancellation of the difference."""
+def erfcx_series_tail(x):
+    """1 - sqrt(pi)*x*erfcx(x) for x >= 26, a float or an array: the terms of
+    erfcx's asymptotic series after its leading 1, v - 3v^2 + 15v^3 - ... +
+    135135v^7 with v = 1/(2x^2), summed without the cancellation of the
+    difference. Past x = 1.3e154, x*x overflows to inf and v is 0; on an
+    array numpy warns of that overflow unless the caller's errstate says not."""
     v = 0.5 / (x * x)
     return v * (1.0 - v * (3.0 - v * (15.0 - v * (105.0 - v * (
         945.0 - v * (10395.0 - v * 135135.0))))))

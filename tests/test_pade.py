@@ -319,6 +319,15 @@ REGIME_PAIRS = [(0.5, 1.5), (0.5, 1.0), (0.5, 0.5), (1.0, 2.0), (1.0, 1.0)]
 
 
 @pytest.mark.parametrize("a,b", REGIME_PAIRS)
+def test_eval_float_like_scalar_gives_float(a, b):
+    ap = build_approx(classify(a, b))
+    for x in (0, 3, 10**101):  # both sides of the 1e100 rescaling
+        for arg in (np.float64(x), x):
+            v = eval_approx(ap, arg)
+            assert type(v) is float and v == eval_approx(ap, float(x))
+
+
+@pytest.mark.parametrize("a,b", REGIME_PAIRS)
 def test_build_approx_is_memoised_per_params(a, b):
     # two equal MLParams built apart share one approximant
     assert build_approx(classify(a, b)) is build_approx(classify(a, b))

@@ -243,6 +243,12 @@ def test_oracle_array_matches_float_calls(a, b):
     cut = 40.0**a
     rng = np.random.default_rng(7)
     xs = np.concatenate([[0.0, cut, cut * (1 - 1e-15)], cut * 10.0 ** rng.uniform(-4.0, 3.0, 60)])
+    if (a, b) in CLOSED_FORM_PAIRS:
+        # the closed forms' branch edges, the smallest double, and 1e160 and
+        # 1e300, where x*x overflows
+        edges = [0.5, math.nextafter(0.5, 0.0), 26.0, math.nextafter(26.0, 0.0), 5e-324, 1e160, 1e300]
+        xs = np.concatenate([xs, edges])
+    assert ml_oracle(params, np.array([])).shape == (0,)
     got = ml_oracle(params, xs)
     assert isinstance(got, np.ndarray) and got.shape == xs.shape
     # bit for bit on every route: closed form, x = 0, contour and series
@@ -250,6 +256,18 @@ def test_oracle_array_matches_float_calls(a, b):
     assert got[0] == rgamma(b)
     for x in xs[:6].tolist():
         assert ml_oracle(params, np.array([x]))[0] == ml_oracle(params, x)
+
+
+@pytest.mark.parametrize(
+    "a,b,x",
+    [(a, b, 3) for a, b in CLOSED_FORM_PAIRS]
+    + [(0.3, 0.9, 0), (0.3, 0.9, 2), (0.3, 0.9, 1000)],  # x = 0, contour, series
+)
+def test_oracle_float_like_scalar_gives_float(a, b, x):
+    params = classify(a, b)
+    for arg in (np.float64(x), x):
+        v = ml_oracle(params, arg)
+        assert type(v) is float and v == ml_oracle(params, float(x))
 
 
 @pytest.mark.parametrize("bad", [-1e-300, -2.0, math.nan, math.inf])

@@ -59,6 +59,8 @@ def test_erfcx_values():
 def test_erfcx_rejects_negative():
     with pytest.raises(DomainError):
         erfcx(-1e-6)
+    with pytest.raises(DomainError, match="got -1e-06"):
+        erfcx(np.array([0.5, -1e-6, 30.0]))
 
 
 def test_gamma_rgamma_roundtrip():
