@@ -49,10 +49,23 @@ class GridSpec:
     @functools.cached_property
     def array(self) -> np.ndarray:
         """The log-spaced grid points as one read-only float array, built on
-        first use."""
-        pts = np.geomspace(self.x_min, self.x_max, self.n_points)
-        if self.include_zero:
-            pts = np.concatenate(([0.0], pts))
+        first use.
+
+        The points are np.geomspace(x_min, x_max, n_points), bit for bit,
+        after a leading 0.0 under include_zero: the same steps (log10 of the
+        bounds, arange times one step, 10.0 ** y, both ends pinned to the
+        bounds) written into one array, without geomspace's generic entry
+        path. `scan` CSV and `ode --t-grid` bytes rest on that equality.
+        """
+        n, k = self.n_points, 1 if self.include_zero else 0
+        lo, hi = np.log10(float(self.x_min)), np.log10(float(self.x_max))
+        pts = np.zeros(k + n)
+        y = pts[k:]
+        np.multiply(np.arange(0.0, n), (hi - lo) / (n - 1), out=y)
+        y += lo
+        y[-1] = hi
+        np.power(10.0, y, out=y)
+        y[0], y[-1] = self.x_min, self.x_max
         pts.flags.writeable = False
         return pts
 
@@ -143,9 +156,15 @@ def format_shortest(v: float) -> str:
 
 def emit_report(report: ErrorReport, fmt: str = "csv") -> bytes:
     """Serialize a report: csv columns x,approx,oracle,abs_error, or a
-    one-line summary alpha,beta,max_abs_error,argmax_x."""
+    one-line summary alpha,beta,max_abs_error,argmax_x.
+
+    An inverse_error_scan report (the one with a max_rel_error) has csv
+    columns y,x_approx,x_true,abs_error, and its summary's fourth field is
+    the worst point's y.
+    """
     if fmt == "csv":
-        lines = ["x,approx,oracle,abs_error"]
+        inverse = report.max_rel_error is not None
+        lines = ["y,x_approx,x_true,abs_error" if inverse else "x,approx,oracle,abs_error"]
         for x, a, o, e in report.samples:
             lines.append(
                 f"{format_shortest(x)},{format_shortest(a)},"
