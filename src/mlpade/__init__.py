@@ -32,7 +32,7 @@ from .harness import (
 from .inverse import inv_pade, inv_pade_from_approx
 from .pade import RationalApprox, build_approx, eval_approx
 from .params import MLParams, Regime, classify
-from .reference import ml_asymptotic, ml_closed_form, ml_oracle, ml_taylor
+from .reference import ml_oracle
 
 __version__ = "0.1.0"
 
@@ -50,9 +50,6 @@ __all__ = [
     "inv_pade",
     "inv_pade_from_approx",
     # reference oracle
-    "ml_taylor",
-    "ml_asymptotic",
-    "ml_closed_form",
     "ml_oracle",
     # fractional ODE solutions
     "RelaxationSpec",

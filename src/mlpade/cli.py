@@ -193,12 +193,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except DomainError as exc:
-        print(f"mlpade: {exc}", file=sys.stderr)
-        return EXIT_PARAM
     except MLPadeError as exc:
         print(f"mlpade: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_PARAM if isinstance(exc, DomainError) else EXIT_NUMERIC
 
 
 def entry() -> None:

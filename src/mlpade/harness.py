@@ -128,16 +128,18 @@ def inverse_error_scan(params: MLParams, y_grid: GridSpec) -> ErrorReport:
 
     Grid points are interpreted on the y axis and must lie inside
     (0, 1/Gamma(beta)]. Reports both max |dx| and max |dx|/(1+x).
+
+    Known defect: the bisection stops at a bracket 1e-10 wide in y, absolute.
+    At (0.3, 0.9), y = 1e-4/Gamma(0.9) it is 4.2e-4 off the root and the
+    algebraic inverse 6.3e-6 off, so the error reported is the bisection's.
     """
     hi = rgamma(params.beta)
-    if y_grid.x_max > hi * (1.0 + 1e-12):
-        raise DomainError(f"y grid exceeds the inverse domain bound {hi!r}")
+    if y_grid.include_zero or y_grid.x_max > hi * (1.0 + 1e-12):
+        raise DomainError(f"y grid must lie inside the inverse domain (0, {hi!r}]")
     approx = build_approx(params)
     samples = []
     max_rel = 0.0
     for y in y_grid.points():
-        if y == 0.0:
-            continue
         y = min(y, hi)
         x_alg = inv_pade_from_approx(approx, y)
         x_true = _bisect_inverse(params, y)

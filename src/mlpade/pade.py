@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .params import MLParams, Regime, argument_array
+from .params import MLParams, Regime, argument, argument_array
 from .special import gamma, libm_map, rgamma
 
 __all__ = ["RationalApprox", "build_approx", "eval_approx"]
@@ -121,7 +121,7 @@ def eval_approx(approx: RationalApprox, x):
     # a float, the hot case, skips the slower isinstance test
     if type(x) is not float:
         if not isinstance(x, np.ndarray):
-            return eval_approx(approx, float(x))
+            return eval_approx(approx, argument(x, "eval_approx"))
         x = argument_array(x, "eval_approx")
         if approx.regime is _PURE_EXPONENTIAL:
             return libm_map(math.exp, -x)

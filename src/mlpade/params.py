@@ -1,5 +1,5 @@
 """Parameter validation for E_{alpha,beta}(-x), and the argument check
-shared by the evaluators that take arrays.
+shared by the evaluators.
 
 The approximation construction splits into five mutually exclusive regimes
 inside the complete-monotonicity region {0 < alpha <= 1, beta >= alpha},
@@ -9,13 +9,14 @@ refuses a pair outside the region however it is made.
 
 import enum
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ParameterDomainError
 
-__all__ = ["Regime", "MLParams", "classify", "argument_array"]
+__all__ = ["Regime", "MLParams", "classify", "argument", "argument_array"]
 
 
 class Regime(enum.Enum):
@@ -72,13 +73,29 @@ def classify(alpha: float, beta: float) -> MLParams:
     return MLParams(alpha, beta)
 
 
-def argument_array(x: np.ndarray, op: str) -> np.ndarray:
-    """x as a 1-D float64 array of finite entries >= 0. Raises DomainError
-    naming `op` for another shape or for the first entry outside that domain."""
+def argument(x, op: str, *, array: bool = True, finite: bool = True):
+    """x checked as the argument of `op`: a float (a real number or a 0-d array
+    counts as one) or, if `array`, a 1-D float64 array. Raises DomainError
+    naming `op` unless every value is >= 0 and, if `finite`, finite."""
+    if type(x) is not float:
+        if isinstance(x, np.ndarray) and x.ndim and array:
+            return argument_array(x, op, finite)
+        if not isinstance(x, (numbers.Real, np.ndarray)) or np.ndim(x):
+            kind = "a float or a 1-D array" if array else "a float"
+            raise DomainError(f"{op} takes {kind}, got {type(x).__name__}")
+        x = float(x)
+    if not (x >= 0.0 and (x < math.inf or not finite)):
+        argument_array(np.array([x]), op, finite)  # raises, naming x
+    return x
+
+
+def argument_array(x: np.ndarray, op: str, finite: bool = True) -> np.ndarray:
+    """x as a 1-D float64 array of entries >= 0, finite if `finite`. Raises
+    DomainError naming `op` for another shape or the first entry outside."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise DomainError(f"{op} takes a float or a 1-D array, got shape {arr.shape}")
-    if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
-        bad = arr[~(np.isfinite(arr) & (arr >= 0.0))][0]
-        raise DomainError(f"{op} requires finite x >= 0, got {float(bad)!r}")
+    if not (arr.min(initial=0.0) >= 0.0 and (not finite or arr.max(initial=0.0) < math.inf)):
+        bad = float(arr[~((arr >= 0.0) & (np.isfinite(arr) | (not finite)))][0])
+        raise DomainError(f"{op} requires {'finite ' if finite else ''}x >= 0, got {bad!r}")
     return arr

@@ -28,10 +28,10 @@ Accuracy target: absolute error <= 1e-10 below x**(1/alpha) = 40, relative
 error <= 1e-6 beyond it.
 
 An array is evaluated in one pass, each entry equal to the float call bit for
-bit. Each closed form is one function of a float or an array, whose branches
-become masks on an array and whose `math` calls are mapped over the masked
-entries (`special.libm_map`). The series and the contour are each one array
-kernel, of which a float argument is the one-entry case.
+bit. Each closed form is one expression of a float or an array, built from
+`special.piecewise` and `special.libm`, so each of its thresholds is written
+once. The series and the contour are each one array kernel, of which a float
+argument is the one-entry case.
 
 `ml_taylor`, a plain double-precision Taylor sum for small x, is not used by
 the oracle; it remains as an independent check of the closed forms.
@@ -42,8 +42,8 @@ import math
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .params import MLParams, argument_array
-from .special import ARRAY_MATH, erfcx, erfcx_series_tail, piecewise, rgamma
+from .params import MLParams, argument
+from .special import erfcx, erfcx_series_tail, libm, piecewise, rgamma
 
 __all__ = [
     "ml_taylor",
@@ -90,8 +90,7 @@ def ml_taylor(params: MLParams, x: float) -> float:
     cancellation would then cost the sum its accuracy, or where the series
     has not converged after 400 terms.
     """
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"ml_taylor requires finite x >= 0, got {x!r}")
+    x = argument(x, "ml_taylor", array=False)
     alpha, beta = params.alpha, params.beta
     lnx = math.log(x) if x > 0.0 else -math.inf
     terms = [rgamma(beta)]
@@ -190,27 +189,23 @@ def ml_asymptotic(params: MLParams, x: float) -> float:
     """Algebraic large-x series -sum_{k>=1} (-x)^{-k} / Gamma(beta - alpha*k),
     truncated at the smallest term of its magnitude envelope.
     """
-    if not (x > 0.0 and math.isfinite(x)):
-        raise DomainError(f"ml_asymptotic requires finite x > 0, got {x!r}")
-    return float(_series(params.alpha, params.beta, np.array([float(x)]))[0])
+    x = argument(x, "ml_asymptotic", array=False)
+    if x == 0.0:
+        raise DomainError(f"ml_asymptotic requires x > 0, got {x!r}")
+    return float(_series(params.alpha, params.beta, np.array([x]))[0])
 
 
 def _exp_neg(x):
-    return math.exp(-x) if type(x) is float else ARRAY_MATH.exp(-x)
+    return libm(x).exp(-x)
 
 
 def _half_three_halves(x):
-    if type(x) is float:
-        if x == 0.0:
-            return _RGAMMA_THREE_HALVES
-        return _h32_near(x) if x < 0.5 else _h32_far(x)
-    zero = (x == 0.0, lambda v: _RGAMMA_THREE_HALVES)
-    return piecewise(x, [zero, (x < 0.5, _h32_near)], _h32_far)
+    return piecewise(x, [(x == 0.0, _RGAMMA_THREE_HALVES), (x < 0.5, _h32_near)], _h32_far)
 
 
 def _h32_near(x):
     # (1 - erfcx(x))/x for 0 < x < 0.5, without the difference's cancellation
-    m = math if type(x) is float else ARRAY_MATH
+    m = libm(x)
     return (m.exp(x * x) * m.erf(x) - m.expm1(x * x)) / x
 
 
@@ -219,8 +214,6 @@ def _h32_far(x):
 
 
 def _half_half(x):
-    if type(x) is float:
-        return _hh_near(x) if x < 26.0 else _hh_far(x)
     return piecewise(x, [(x < 26.0, _hh_near)], _hh_far)
 
 
@@ -234,17 +227,14 @@ def _hh_far(x):
 
 
 def _one_two(x):
-    if type(x) is float:
-        return 1.0 if x == 0.0 else _one_two_nonzero(x)
-    return piecewise(x, [(x == 0.0, lambda v: 1.0)], _one_two_nonzero)
+    return piecewise(x, [(x == 0.0, 1.0)], _one_two_nonzero)
 
 
 def _one_two_nonzero(x):
-    return -(math.expm1(-x) if type(x) is float else ARRAY_MATH.expm1(-x)) / x
+    return -libm(x).expm1(-x) / x
 
 
-# the pairs with an erfcx/exp closed form, each a function of a float or a
-# 1-D array
+# the pairs with an erfcx/exp closed form, each one expression of x
 _CLOSED_FORMS = {
     (0.5, 1.0): erfcx,
     (0.5, 1.5): _half_three_halves,
@@ -257,9 +247,7 @@ _CLOSED_FORMS = {
 def ml_closed_form(params: MLParams, x: float) -> float | None:
     """Exact value for the parameter pairs with an erfcx/exp closed form,
     else None."""
-    x = float(x)
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"ml_closed_form requires finite x >= 0, got {x!r}")
+    x = argument(x, "ml_closed_form", array=False)
     closed = _CLOSED_FORMS.get(params)
     return None if closed is None else closed(x)
 
@@ -277,31 +265,25 @@ def ml_oracle(params: MLParams, x):
     """Reference value of E_{alpha,beta}(-x) at x >= 0, a float or a 1-D array:
     closed form where one exists, 1/Gamma(beta) at x = 0, the asymptotic
     series once x**(1/alpha) >= 40, else the contour integral."""
+    # a valid float, the common case, skips the call that checks and converts
+    x = x if type(x) is float and 0.0 <= x < math.inf else argument(x, "ml_oracle")
     closed = _CLOSED_FORMS.get(params)
-    alpha, beta = params.alpha, params.beta
-    cutoff = _ASYM_CUTOFF**alpha
-    if type(x) is not float:
-        if isinstance(x, np.ndarray):
-            xs = argument_array(x, "ml_oracle")
-            if closed is not None:
-                with np.errstate(over="ignore"):  # x*x is inf past 1.3e154, as for a float
-                    return closed(xs)
-            out = np.full(xs.shape, rgamma(beta))
-            far = xs >= cutoff
-            near = (xs > 0.0) & ~far
-            if far.any():
-                out[far] = _series(alpha, beta, xs[far])
-            if near.any():
-                out[near] = _ml_contour(alpha, beta, xs[near])
-            return out
-        x = float(x)
-    # a float takes its path directly: the array bookkeeping above would
-    # double the cost of a contour point
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"ml_oracle requires finite x >= 0, got {x!r}")
     if closed is not None:
         return closed(x)
-    if x == 0.0:
-        return rgamma(beta)
-    kernel = _series if x >= cutoff else _ml_contour
-    return float(kernel(alpha, beta, np.array([x]))[0])
+    alpha, beta = params.alpha, params.beta
+    cutoff = _ASYM_CUTOFF**alpha
+    # a float takes its path directly: the array bookkeeping below would
+    # double the cost of a contour point
+    if type(x) is float:
+        if x == 0.0:
+            return rgamma(beta)
+        kernel = _series if x >= cutoff else _ml_contour
+        return float(kernel(alpha, beta, np.array([x]))[0])
+    out = np.full(x.shape, rgamma(beta))
+    far = x >= cutoff
+    near = (x > 0.0) & ~far
+    if far.any():
+        out[far] = _series(alpha, beta, x[far])
+    if near.any():
+        out[near] = _ml_contour(alpha, beta, x[near])
+    return out

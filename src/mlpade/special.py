@@ -4,11 +4,11 @@ Everything downstream routes reciprocal-gamma factors through :func:`rgamma`
 so that parameter combinations hitting poles of Gamma produce an exact zero
 instead of an overflow or NaN; past Gamma's overflow it returns 0 as well.
 
-`erfcx` and `erfcx_series_tail` take a float or a 1-D float array. On an
-array each `math` function is mapped over the entries in one C-level loop
-(`libm_map`), and each branch is a mask, so every entry equals the float call
-bit for bit. numpy's own exp and expm1 run SIMD loops whose last bits differ
-from libm's, which would move the closed forms' values.
+`erfcx` and the closed forms are each one expression of a float or a 1-D
+array: `piecewise` picks a float's branch or each entry's, and `libm(x)` is
+`math` itself for a float and, for an array, each `math` function mapped over
+the entries (`libm_map`), so every entry equals the float call bit for bit.
+numpy's own exp and expm1 run SIMD loops whose last bits differ from libm's.
 """
 
 import math
@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError
+from .params import argument
 
 __all__ = [
     "gamma",
@@ -27,7 +28,7 @@ __all__ = [
     "is_nonpositive_integer",
     "libm_map",
     "piecewise",
-    "ARRAY_MATH",
+    "libm",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -40,7 +41,7 @@ def libm_map(fn, v: np.ndarray) -> np.ndarray:
 
 
 # the `math` functions the closed forms call, as they apply to an array
-ARRAY_MATH = SimpleNamespace(
+_ARRAY_MATH = SimpleNamespace(
     exp=partial(libm_map, math.exp),
     expm1=partial(libm_map, math.expm1),
     erf=partial(libm_map, math.erf),
@@ -49,16 +50,28 @@ ARRAY_MATH = SimpleNamespace(
 )
 
 
-def piecewise(x: np.ndarray, pieces, rest) -> np.ndarray:
-    """At every entry of the float array x, f(entries) of the first (mask, f)
-    in `pieces` whose mask holds there, or rest(entries) where none holds."""
+def libm(x):
+    """The `math` module for a float x; for an array, its functions mapped."""
+    return math if type(x) is float else _ARRAY_MATH
+
+
+def piecewise(x, pieces, rest):
+    """f(x) of the first (condition, f) in `pieces` whose condition holds, else
+    rest(x); an f may be a constant. Conditions are bools for a float x and
+    masks for an array, which overflows to inf silently, as a float does."""
+    if type(x) is float:
+        for holds, f in pieces:
+            if holds:
+                return f(x) if callable(f) else f
+        return rest(x)
     out = np.empty(x.shape)
     left = np.ones(x.shape, dtype=bool)
-    for mask, f in pieces:
-        take = mask & left
-        out[take] = f(x[take])
-        left &= ~mask
-    out[left] = rest(x[left])
+    with np.errstate(over="ignore"):
+        for mask, f in pieces:
+            take = mask & left
+            out[take] = f(x[take]) if callable(f) else f
+            left &= ~mask
+        out[left] = rest(x[left])
     return out
 
 
@@ -91,24 +104,16 @@ def rgamma(x: float) -> float:
 
 def erfcx(x):
     """Scaled complementary error function exp(x^2)*erfc(x), overflow-free, for
-    x >= 0: a float, or a 1-D float array evaluated to the float call's value
-    at every entry. Below 26, exp of x^2 = xh^2 + (x - xh)(x + xh) split
+    x in [0, inf]: a float, or a 1-D float array evaluated to the float call's
+    value at every entry. Below 26, exp of x^2 = xh^2 + (x - xh)(x + xh) split
     exactly (xh on 20 fractional bits, so xh^2 is exact); from 26 up, 8 terms
     of the asymptotic series in 1/(2x^2), whose 9th term is below 2e-19 there."""
-    if type(x) is not float:
-        if isinstance(x, np.ndarray):
-            if x.min(initial=0.0) < 0.0:
-                raise DomainError(f"erfcx requires x >= 0, got {float(x[x < 0.0][0])!r}")
-            with np.errstate(over="ignore"):  # x*x is inf past 1.3e154, as for a float
-                return piecewise(x, [(x < 26.0, _erfcx_near)], _erfcx_far)
-        x = float(x)
-    if x < 0.0:
-        raise DomainError(f"erfcx requires x >= 0, got {x!r}")
-    return _erfcx_near(x) if x < 26.0 else _erfcx_far(x)
+    x = argument(x, "erfcx", finite=False)
+    return piecewise(x, [(x < 26.0, _erfcx_near)], _erfcx_far)
 
 
 def _erfcx_near(x):
-    m = math if type(x) is float else ARRAY_MATH
+    m = libm(x)
     xh = m.floor(x * 1048576.0) / 1048576.0
     return m.exp(xh * xh) * m.exp((x - xh) * (x + xh)) * m.erfc(x)
 
@@ -122,7 +127,7 @@ def erfcx_series_tail(x):
     erfcx's asymptotic series after its leading 1, v - 3v^2 + 15v^3 - ... +
     135135v^7 with v = 1/(2x^2), summed without the cancellation of the
     difference. Past x = 1.3e154, x*x overflows to inf and v is 0; on an
-    array numpy warns of that overflow unless the caller's errstate says not."""
+    array numpy warns of that overflow, except under `piecewise`."""
     v = 0.5 / (x * x)
     return v * (1.0 - v * (3.0 - v * (15.0 - v * (105.0 - v * (
         945.0 - v * (10395.0 - v * 135135.0))))))

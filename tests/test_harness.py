@@ -172,6 +172,29 @@ def test_inverse_scan_rejects_out_of_domain_grid():
         inverse_error_scan(classify(0.5, 0.5), GridSpec(1e-2, 1.0, 10))
 
 
+def test_inverse_scan_refuses_a_zero_y():
+    # y = 0 is E's limit at x = inf, outside the inverse's domain; it was
+    # dropped, so 4 grid points gave 3 rows
+    with pytest.raises(DomainError, match=r"inside the inverse domain \(0, "):
+        inverse_error_scan(classify(0.5, 1.5), GridSpec(1e-3, 0.5, 3, include_zero=True))
+
+
+def test_inverse_scan_bisection_stop_is_absolute_in_y():
+    # Known defect, kept: the bisection stops once its bracket's values differ
+    # by 1e-10 absolute, which at small y leaves its "true" inverse far less
+    # accurate than the approximant. At (0.3, 0.9), y = 1e-4/Gamma(0.9), the
+    # root by tests/talbot_reference.py and a secant solve is 7175.39704075175:
+    # the bisection is 4.20e-4 above it and the algebraic inverse 6.3e-6
+    # below, so the reported error is 67 times the approximant's.
+    root = 7175.39704075175
+    y = 1e-4 * rgamma(0.9)
+    report = inverse_error_scan(classify(0.3, 0.9), GridSpec(y, 2.0 * y, 2))
+    _, x_alg, x_true, err = report.samples[0]
+    assert x_true - root == pytest.approx(4.20e-4, rel=1e-2)
+    assert x_alg - root == pytest.approx(-6.3e-6, rel=1e-2)
+    assert err == pytest.approx(67 * abs(x_alg - root), rel=1e-2)
+
+
 def test_inverse_scan_bisection_gives_up_past_its_budget():
     # E_{0.3,0.9}(-x) decays like 1/x, so y = 1e-20 lies beyond x = 1e15
     with pytest.raises(NonConvergenceError, match="could not bracket"):

@@ -1,0 +1,31 @@
+"""The package's top-level names: `ml_oracle` is the reference layer's one
+entry point there, and its one-point views live in `mlpade.reference`."""
+
+import mlpade
+import mlpade.reference
+
+PUBLIC = {
+    "__version__",
+    "MLParams", "Regime", "classify",
+    "RationalApprox", "build_approx", "eval_approx",
+    "inv_pade", "inv_pade_from_approx",
+    "ml_oracle",
+    "RelaxationSpec", "TwoTermSpec",
+    "relaxation_exact", "relaxation_pade", "two_term_exact", "two_term_pade",
+    "GridSpec", "ErrorReport", "DEFAULT_GRID",
+    "error_scan", "inverse_error_scan", "emit_report", "format_shortest",
+    "MLPadeError", "DomainError", "ParameterDomainError",
+    "NonConvergenceError", "ConstructionError", "ResultOverflowError",
+}
+
+
+def test_the_public_names_are_the_29():
+    assert len(mlpade.__all__) == len(PUBLIC) == 29
+    assert set(mlpade.__all__) == PUBLIC
+    assert all(hasattr(mlpade, name) for name in PUBLIC)
+
+
+def test_the_one_point_views_live_in_the_reference_module():
+    for name in ("ml_taylor", "ml_asymptotic", "ml_closed_form"):
+        assert callable(getattr(mlpade.reference, name))
+        assert not hasattr(mlpade, name)

@@ -10,15 +10,8 @@ import numpy as np
 import pytest
 
 import mlpade
-from mlpade import (
-    DomainError,
-    NonConvergenceError,
-    classify,
-    ml_asymptotic,
-    ml_closed_form,
-    ml_oracle,
-    ml_taylor,
-)
+from mlpade import DomainError, NonConvergenceError, classify, ml_oracle
+from mlpade.reference import ml_asymptotic, ml_closed_form, ml_taylor
 from mlpade.special import erfcx, rgamma
 from talbot_reference import ml_talbot
 
