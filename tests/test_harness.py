@@ -192,7 +192,7 @@ def test_inverse_scan_bisection_stop_is_absolute_in_y():
     _, x_alg, x_true, err = report.samples[0]
     assert x_true - root == pytest.approx(4.20e-4, rel=1e-2)
     assert x_alg - root == pytest.approx(-6.3e-6, rel=1e-2)
-    assert err == pytest.approx(67 * abs(x_alg - root), rel=1e-2)
+    assert err > 60 * abs(x_alg - root)
 
 
 def test_inverse_scan_bisection_gives_up_past_its_budget():
