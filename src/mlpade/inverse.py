@@ -17,7 +17,7 @@ import math
 
 from .errors import DomainError, ResultOverflowError
 from .pade import RationalApprox, build_approx
-from .params import MLParams, Regime
+from .params import MLParams, Regime, argument
 
 __all__ = ["inv_pade", "inv_pade_from_approx"]
 
@@ -27,20 +27,26 @@ _PURE_EXPONENTIAL = Regime.PURE_EXPONENTIAL
 
 
 def inv_pade_from_approx(approx: RationalApprox, y: float) -> float:
-    """The one solution X >= 0 of approx(X) = y: A is monotone (see RationalApprox)."""
-    if approx.regime is _PURE_EXPONENTIAL:
-        if not 0.0 < y <= 1.0:
-            raise DomainError(f"y={y!r} outside (0, 1]")
-        return 0.0 - math.log(y)  # +0.0 at y = 1, where -log(y) is -0.0
+    """The one solution X >= 0 of approx(X) = y: A is monotone (see
+    RationalApprox). y is a float; a real number or a 0-d array counts as one."""
     n0 = approx.n0
-    if not 0.0 < y <= n0:
-        raise DomainError(f"y={y!r} outside (0, {n0!r}]")
+    # the hot case, a float in (0, n0) off the exponential regime, takes one
+    # chained test; every other argument takes the branch below
+    if not (type(y) is float and 0.0 < y < n0 and approx.regime is not _PURE_EXPONENTIAL):
+        if type(y) is not float:
+            return inv_pade_from_approx(approx, argument(y, "inv_pade_from_approx", array=False))
+        # a float's range is tested here, not by `argument`, to keep its message
+        if approx.regime is _PURE_EXPONENTIAL:
+            if not 0.0 < y <= 1.0:
+                raise DomainError(f"y={y!r} outside (0, 1]")
+            return 0.0 - math.log(y)  # +0.0 at y = 1, where -log(y) is -0.0
+        if not 0.0 < y <= n0:
+            raise DomainError(f"y={y!r} outside (0, {n0!r}]")
+        # exact boundary y == n0: X = 0 is a root since c vanishes identically
+        return 0.0
     a = approx.d2
     b = approx.d1 - approx.n1 / y
     c = 1.0 - n0 / y
-    if y == n0:
-        # exact boundary: X = 0 is a root since c vanishes identically
-        return 0.0
     # a = d2 > 0 and y < n0 makes c < 0, so disc >= b*b >= 0 in floating
     # point too: no clamp, and no NaN, since 4ac is never +inf
     disc = b * b - 4.0 * a * c

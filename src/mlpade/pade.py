@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .params import MLParams, Regime, argument, argument_array
+from .params import MLParams, Regime, argument
 from .special import gamma, libm_map, rgamma
 
 __all__ = ["RationalApprox", "build_approx", "eval_approx"]
@@ -116,27 +116,30 @@ def build_approx(params: MLParams) -> RationalApprox:
 
 
 def eval_approx(approx: RationalApprox, x):
-    """Evaluate the approximant at x >= 0: a float, or a 1-D array evaluated
-    entry by entry to the same values as float calls."""
-    # a float, the hot case, skips the slower isinstance test
-    if type(x) is not float:
-        if not isinstance(x, np.ndarray):
-            return eval_approx(approx, argument(x, "eval_approx"))
-        x = argument_array(x, "eval_approx")
-        if approx.regime is _PURE_EXPONENTIAL:
-            return libm_map(math.exp, -x)
-        far = x > 1e100
-        if far.any():
-            out = np.empty(x.shape)
-            out[far] = _rescaled(approx, x[far])
-            out[~far] = eval_approx(approx, x[~far])
-            return out
-    elif x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"eval_approx requires finite x >= 0, got {x!r}")
-    elif approx.regime is _PURE_EXPONENTIAL:
-        return math.exp(-x)
-    elif x > 1e100:
-        return _rescaled(approx, x)
+    """Evaluate the approximant at x >= 0: a float (a real number or a 0-d
+    array counts as one), or a 1-D array evaluated entry by entry to the same
+    values as float calls."""
+    # the hot case, a float in [0, 1e100] off the exponential regime, takes
+    # one chained test; every other argument takes the branch below
+    if not (type(x) is float and 0.0 <= x <= 1e100 and approx.regime is not _PURE_EXPONENTIAL):
+        if type(x) is not float:
+            x = argument(x, "eval_approx")
+            if type(x) is float:
+                return eval_approx(approx, x)
+            if approx.regime is _PURE_EXPONENTIAL:
+                return libm_map(math.exp, -x)
+            far = x > 1e100
+            if far.any():
+                out = np.empty(x.shape)
+                out[far] = _rescaled(approx, x[far])
+                out[~far] = eval_approx(approx, x[~far])
+                return out
+        elif not 0.0 <= x < math.inf:
+            raise DomainError(f"eval_approx requires finite x >= 0, got {x!r}")
+        elif approx.regime is _PURE_EXPONENTIAL:
+            return math.exp(-x)
+        else:
+            return _rescaled(approx, x)
     return (approx.n0 + approx.n1 * x) / (1.0 + approx.d1 * x + approx.d2 * x * x)
 
 

@@ -48,6 +48,12 @@ def test_every_error_class_is_raised_or_a_base_of_one_that_is():
 
 P, HALF = mlpade.classify(0.3, 0.9), mlpade.classify(0.5, 1.0)
 APPROX = mlpade.build_approx(P)
+# alpha = 1 with d2 = 1e7: past x = 1e100 its rescaled form differs from the
+# direct one in the last digit
+STEEP = mlpade.build_approx(mlpade.classify(1.0, 1.0000001))
+EXP = mlpade.build_approx(mlpade.classify(1.0, 1.0))
+RELAX = mlpade.RelaxationSpec(0.3, 1.5, 0.7)
+TWO = mlpade.TwoTermSpec(0.25, 0.75, 0.5)
 
 
 BAD_ARGUMENTS = [
@@ -60,6 +66,16 @@ BAD_ARGUMENTS = [
     (lambda: special.erfcx(math.nan), "erfcx requires x >= 0, got nan"),
     (lambda: special.erfcx(np.array([1.0, math.nan])), "erfcx requires x >= 0, got nan"),
     (lambda: special.erfcx([1.0]), "erfcx takes a float or a 1-D array, got list"),
+    (lambda: mlpade.inv_pade_from_approx(APPROX, "0.1"), "inv_pade_from_approx takes a float, got str"),
+    (lambda: mlpade.inv_pade_from_approx(APPROX, [0.1]), "inv_pade_from_approx takes a float, got list"),
+    (lambda: mlpade.inv_pade_from_approx(APPROX, None), "inv_pade_from_approx takes a float, got NoneType"),
+    (lambda: mlpade.inv_pade_from_approx(APPROX, np.array([0.1, 0.2])), "inv_pade_from_approx takes a float, got ndarray"),
+    # inv_pade hands y to inv_pade_from_approx, which names itself
+    (lambda: mlpade.inv_pade(P, (0.1,)), "inv_pade_from_approx takes a float, got tuple"),
+    (lambda: mlpade.relaxation_pade(RELAX, "1.0"), "relaxation_pade takes a float, got str"),
+    (lambda: mlpade.relaxation_exact(RELAX, [1.0]), "relaxation_exact takes a float, got list"),
+    (lambda: mlpade.two_term_pade(TWO, np.array([1.0, 2.0])), "two_term_pade takes a float, got ndarray"),
+    (lambda: mlpade.two_term_exact(TWO, None), "two_term_exact takes a float, got NoneType"),
 ]
 
 
@@ -67,6 +83,10 @@ BAD_ARGUMENTS = [
 def test_a_bad_argument_is_a_domain_error_naming_the_op(call, message):
     with pytest.raises(mlpade.DomainError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _same_float(got, want):
+    return type(got) is float and got.hex() == want.hex()
 
 
 def test_real_scalars_and_0d_arrays_count_as_floats():
@@ -78,3 +98,72 @@ def test_real_scalars_and_0d_arrays_count_as_floats():
         assert reference.ml_asymptotic(P, 400 * x) == reference.ml_asymptotic(P, 200.0)
         assert special.erfcx(x) == special.erfcx(0.5)
     assert mlpade.eval_approx(APPROX, np.float32(0.5)) == mlpade.eval_approx(APPROX, 0.5)
+    # the product path returns the float call's value as a Python float
+    for x in (np.float64(3.0), np.array(3.0), 3):
+        assert _same_float(mlpade.eval_approx(APPROX, x), mlpade.eval_approx(APPROX, 3.0))
+    for y in (np.float64(0.1), np.array(0.1)):
+        assert _same_float(mlpade.inv_pade_from_approx(APPROX, y), mlpade.inv_pade_from_approx(APPROX, 0.1))
+        assert _same_float(mlpade.inv_pade(P, y), mlpade.inv_pade(P, 0.1))
+    # numpy's pow rounds some of these t otherwise than float's
+    ts = 10.0 ** np.random.default_rng(14).uniform(-2.0, 2.0, 200)
+    for t in ts:
+        t0 = float(t)
+        for spec, f in ((RELAX, mlpade.relaxation_pade), (TWO, mlpade.two_term_pade)):
+            assert _same_float(f(spec, np.array(t0)), f(spec, t0)), (f.__name__, t0)
+            assert _same_float(f(spec, t), f(spec, t0)), (f.__name__, t0)
+    for spec, f in ((RELAX, mlpade.relaxation_exact), (TWO, mlpade.two_term_exact)):
+        assert _same_float(f(spec, np.array(2.5)), f(spec, 2.5))
+
+
+NEXT_1E100 = math.nextafter(1e100, math.inf)
+TARGETS = {"APPROX": APPROX, "STEEP": STEEP, "EXP": EXP, "P": P, "RELAX": RELAX, "TWO": TWO}
+EVAL, INV = mlpade.eval_approx, mlpade.inv_pade_from_approx
+
+# the values at the edges of each hot case's admission test, and the
+# messages a float outside it gets: (function, first argument, the others, want)
+ADMISSION_EDGES = [
+    (EVAL, "APPROX", (0.0,), 0.9357787209128731),
+    (EVAL, "APPROX", (-0.0,), 0.9357787209128731),
+    (EVAL, "APPROX", (5e-324,), 0.9357787209128731),
+    (EVAL, "APPROX", (1e100,), 6.715049724420734e-101),
+    (EVAL, "APPROX", (NEXT_1E100,), 6.715049724420734e-101),
+    (EVAL, "APPROX", (1e300,), 6.715049724420735e-301),
+    (EVAL, "STEEP", (1e100,), 1.0000000583054273e-107),
+    (EVAL, "STEEP", (NEXT_1E100,), 1.000000058305427e-107),
+    (EVAL, "STEEP", (1e300,), 1.000000058305427e-307),
+    (EVAL, "EXP", (1e100,), 0.0),
+    (INV, "APPROX", (APPROX.n0,), 0.0),
+    (INV, "APPROX", (math.nextafter(APPROX.n0, 0.0),), 1.90781339913799e-16),
+    # b*b overflows: the root comes from _root_past_overflow
+    (INV, "APPROX", (1e-300 * APPROX.n0,), 7.175894871674421e+299),
+    (INV, "STEEP", (STEEP.n0,), 0.0),
+    (INV, "STEEP", (math.nextafter(STEEP.n0, 0.0),), 2.2204462663645365e-16),
+    (INV, "EXP", (1.0,), 0.0),
+    (EVAL, "APPROX", (-1.0,), "eval_approx requires finite x >= 0, got -1.0"),
+    (EVAL, "APPROX", (math.inf,), "eval_approx requires finite x >= 0, got inf"),
+    (EVAL, "EXP", (math.nan,), "eval_approx requires finite x >= 0, got nan"),
+    (INV, "APPROX", (0.0,), "y=0.0 outside (0, 0.9357787209128731]"),
+    (INV, "APPROX", (-1.0,), "y=-1.0 outside (0, 0.9357787209128731]"),
+    (INV, "APPROX", (1.0,), "y=1.0 outside (0, 0.9357787209128731]"),
+    (mlpade.inv_pade, "P", (math.nan,), "y=nan outside (0, 0.9357787209128731]"),
+    (INV, "EXP", (2.0,), "y=2.0 outside (0, 1]"),
+    (mlpade.relaxation_pade, "RELAX", (math.inf,), "need finite t, got inf"),
+    (mlpade.relaxation_pade, "RELAX", (math.nan, "standard"), "need finite t, got nan"),
+    (mlpade.two_term_exact, "TWO", (-math.inf,), "need finite t, got -inf"),
+    (mlpade.relaxation_exact, "RELAX", (0.0,), "solution is singular at the origin; need t > 0, got 0.0"),
+    (mlpade.two_term_pade, "TWO", (-1.0,), "solution is singular at the origin; need t > 0, got -1.0"),
+    (mlpade.relaxation_pade, "RELAX", (1.0, "classical"),
+     "prefactor must be one of ('paper', 'standard'), got 'classical'"),
+]
+
+
+@pytest.mark.parametrize(
+    "f,target,args,want", ADMISSION_EDGES,
+    ids=[f"{f.__name__}({t}, {', '.join(map(repr, a))})" for f, t, a, _ in ADMISSION_EDGES],
+)
+def test_admission_edges_keep_values_and_float_messages(f, target, args, want):
+    if isinstance(want, float):
+        assert _same_float(f(TARGETS[target], *args), want)
+    else:
+        with pytest.raises(mlpade.DomainError, match=f"^{re.escape(want)}$"):
+            f(TARGETS[target], *args)

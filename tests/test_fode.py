@@ -122,6 +122,21 @@ def test_relaxation_pade_refuses_alpha_above_alpha_star():
         relaxation_pade(RelaxationSpec(0.62, 1.7, 2.5), 1.0)
 
 
+def test_spec_sets_its_pair_when_made_and_builds_the_approximant_on_first_use():
+    relax, two = RelaxationSpec(0.3, 1.5, 0.7), TwoTermSpec(0.25, 0.75, 0.5)
+    assert (relax.params, two.params) == (classify(0.3, 0.3), classify(0.5, 0.75))
+    for spec in (relax, two):
+        assert "approx" not in vars(spec)
+        assert spec.approx is build_approx(spec.params) is spec.approx
+        assert "approx" in vars(spec)
+    # a refused approximant raises on every use, and nothing is kept
+    above = RelaxationSpec(0.8, 1.0, 1.0)
+    for _ in range(2):
+        with pytest.raises(ConstructionError, match="alpha <= 1/2"):
+            above.approx
+    assert "approx" not in vars(above)
+
+
 def test_relaxation_prefactor_switch():
     spec = RelaxationSpec(0.3, 1.0, 1.0)
     for t in (0.4, 3.0):
