@@ -12,7 +12,11 @@ rational ones from `spec.approx`, the approximant built on first use and kept
 by the spec, whose checks they share (above alpha = 1/2 the diagonal
 approximant is not monotone and `relaxation_pade` raises ConstructionError,
 while `relaxation_exact`, which never builds it, still works). Each solution
-takes t as a float; a real number or a 0-d array counts as one.
+takes t as a float; a real number or a 0-d array counts as one, and one
+outside the domain gets the float's message. Where lambda*t^alpha overflows,
+the relaxation solutions return c*t^p*0.0, the limit of E(-x); at a subnormal
+t where t^p passes the largest double, each solution raises
+ResultOverflowError.
 
 The t^{-alpha} relaxation prefactor follows the source formula; the classical
 literature uses t^{alpha-1} (the two agree only at alpha = 1/2), so both are
@@ -23,9 +27,9 @@ available through the `prefactor` switch ("paper" keeps t^{-alpha},
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, ResultOverflowError
 from .pade import build_approx, eval_approx
-from .params import MLParams, argument
+from .params import MLParams, convert
 from .reference import ml_oracle
 
 __all__ = [
@@ -92,10 +96,10 @@ class TwoTermSpec:
 
 
 def _admit_t(t, op: str) -> float:
-    """t as a float > 0: a real number or a 0-d array counts as one, and
-    anything else raises DomainError naming `op`."""
-    if type(t) is not float:
-        t = argument(t, op, array=False)
+    """t as a float > 0, finite: a real number or a 0-d array counts as a
+    float and meets the float's tests, and any other kind raises DomainError
+    naming `op`."""
+    t = convert(t, op, array=False)
     if not math.isfinite(t):
         raise DomainError(f"need finite t, got {t!r}")
     if not t > 0.0:
@@ -103,42 +107,66 @@ def _admit_t(t, op: str) -> float:
     return t
 
 
-def _relax_prefactor(alpha: float, t: float, prefactor: str) -> float:
+def _power(t: float, p: float, op: str) -> float:
+    """t**p, or ResultOverflowError naming `op` where it passes the largest
+    double. Every p here lies in (-1, 0), so only a subnormal t can overflow,
+    and the hot tests leave a subnormal t to the general branches."""
+    try:
+        return t**p
+    except OverflowError:
+        raise ResultOverflowError(f"{op}: t**{p!r} at t={t!r} overflows a double") from None
+
+
+def _relax_prefactor(alpha: float, t: float, prefactor: str, op: str) -> float:
     if prefactor not in PREFACTORS:
         raise DomainError(f"prefactor must be one of {PREFACTORS}, got {prefactor!r}")
-    return t ** (-alpha) if prefactor == "paper" else t ** (alpha - 1.0)
+    return _power(t, -alpha if prefactor == "paper" else alpha - 1.0, op)
 
 
-# Each solution admits its hot case, a float in (0, inf), with one chained
+def _relaxation(E, target, spec: RelaxationSpec, t: float, prefactor: str, op: str) -> float:
+    """c1 * t^p * E(target, lambda*t^alpha) at an admitted t, for either
+    prefactor. lambda*t^alpha overflows to inf for lambda*t large, which E
+    refuses; E(-x) tends to 0 as x grows, so the solution is c1*t^p*0.0 there."""
+    try:
+        value = E(target, spec.lam * t**spec.alpha)
+    except DomainError:
+        value = 0.0
+    return spec.c1 * _relax_prefactor(spec.alpha, t, prefactor, op) * value
+
+
+# Each solution admits its hot case, a normal float t < inf, with one chained
 # test, and sends every other t through _admit_t.
 
 def relaxation_exact(spec: RelaxationSpec, t: float, prefactor: str = "paper") -> float:
-    if not (type(t) is float and 0.0 < t < math.inf):
+    if not (type(t) is float and 2.2250738585072014e-308 <= t < math.inf):
         t = _admit_t(t, "relaxation_exact")
-    value = ml_oracle(spec.params, spec.lam * t**spec.alpha)
-    return spec.c1 * _relax_prefactor(spec.alpha, t, prefactor) * value
+    return _relaxation(ml_oracle, spec.params, spec, t, prefactor, "relaxation_exact")
 
 
 def relaxation_pade(spec: RelaxationSpec, t: float, prefactor: str = "paper") -> float:
     """Rational solution: `relaxation_exact` with the approximant in place of E."""
-    if type(t) is float and 0.0 < t < math.inf and prefactor == "paper":
-        value = eval_approx(spec.approx, spec.lam * t**spec.alpha)
+    if type(t) is float and 2.2250738585072014e-308 <= t < math.inf and prefactor == "paper":
+        try:
+            value = eval_approx(spec.approx, spec.lam * t**spec.alpha)
+        except DomainError:  # lambda*t^alpha overflowed: see _relaxation
+            value = 0.0
         return spec.c1 * t ** (-spec.alpha) * value
     t = _admit_t(t, "relaxation_pade")
-    value = eval_approx(spec.approx, spec.lam * t**spec.alpha)
-    return spec.c1 * _relax_prefactor(spec.alpha, t, prefactor) * value
+    return _relaxation(eval_approx, spec.approx, spec, t, prefactor, "relaxation_pade")
 
 
 def two_term_exact(spec: TwoTermSpec, t: float) -> float:
-    if not (type(t) is float and 0.0 < t < math.inf):
+    if not (type(t) is float and 2.2250738585072014e-308 <= t < math.inf):
         t = _admit_t(t, "two_term_exact")
+        _power(t, spec.beta - 1.0, "two_term_exact")  # raises where t^(beta-1) overflows
     a, b = spec.alpha, spec.beta
     return (spec.c2 + 1.0) * t ** (b - 1.0) * ml_oracle(spec.params, t ** (b - a))
 
 
 def two_term_pade(spec: TwoTermSpec, t: float) -> float:
     """Rational solution: `two_term_exact` with the approximant in place of E."""
-    if not (type(t) is float and 0.0 < t < math.inf):
+    if not (type(t) is float and 2.2250738585072014e-308 <= t < math.inf):
         t = _admit_t(t, "two_term_pade")
+        _power(t, spec.beta - 1.0, "two_term_pade")  # raises where t^(beta-1) overflows
     a, b = spec.alpha, spec.beta
     return (spec.c2 + 1.0) * t ** (b - 1.0) * eval_approx(spec.approx, t ** (b - a))

@@ -16,14 +16,10 @@ does.
 import math
 
 from .errors import DomainError, ResultOverflowError
-from .pade import RationalApprox, build_approx
-from .params import MLParams, Regime, argument
+from .pade import _PURE_EXPONENTIAL, RationalApprox, build_approx
+from .params import MLParams, convert
 
 __all__ = ["inv_pade", "inv_pade_from_approx"]
-
-# inv_pade_from_approx's regime test, as in pade.py: cheaper than the
-# attribute lookup on the Enum class
-_PURE_EXPONENTIAL = Regime.PURE_EXPONENTIAL
 
 
 def inv_pade_from_approx(approx: RationalApprox, y: float) -> float:
@@ -33,17 +29,16 @@ def inv_pade_from_approx(approx: RationalApprox, y: float) -> float:
     # the hot case, a float in (0, n0) off the exponential regime, takes one
     # chained test; every other argument takes the branch below
     if not (type(y) is float and 0.0 < y < n0 and approx.regime is not _PURE_EXPONENTIAL):
-        if type(y) is not float:
-            return inv_pade_from_approx(approx, argument(y, "inv_pade_from_approx", array=False))
-        # a float's range is tested here, not by `argument`, to keep its message
+        y = y if type(y) is float else convert(y, "inv_pade_from_approx", array=False)
         if approx.regime is _PURE_EXPONENTIAL:
             if not 0.0 < y <= 1.0:
                 raise DomainError(f"y={y!r} outside (0, 1]")
             return 0.0 - math.log(y)  # +0.0 at y = 1, where -log(y) is -0.0
         if not 0.0 < y <= n0:
             raise DomainError(f"y={y!r} outside (0, {n0!r}]")
-        # exact boundary y == n0: X = 0 is a root since c vanishes identically
-        return 0.0
+        if y == n0:
+            # X = 0 is a root since c vanishes identically
+            return 0.0
     a = approx.d2
     b = approx.d1 - approx.n1 / y
     c = 1.0 - n0 / y

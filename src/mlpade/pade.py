@@ -19,17 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError
 from .params import MLParams, Regime, argument
-from .special import gamma, libm_map, rgamma
+from .special import gamma, libm, rgamma
 
 __all__ = ["RationalApprox", "build_approx", "eval_approx"]
 
 # for alpha = beta, d1 carries rgamma(1 - 2*alpha), which turns negative past 1/2
 _DIAGONAL_HINT = "; the diagonal approximant needs alpha <= 1/2"
 
-# eval_approx's regime test; an attribute lookup on the Enum class would cost
-# about 0.1 us, a third of a float evaluation
+# the regime test of eval_approx and inv_pade_from_approx; an attribute lookup
+# on the Enum class would cost about 0.1 us, a third of a float evaluation
 _PURE_EXPONENTIAL = Regime.PURE_EXPONENTIAL
 
 # build_approx's memo: a caller inverts or evaluates one pair many times, and
@@ -122,24 +122,18 @@ def eval_approx(approx: RationalApprox, x):
     # the hot case, a float in [0, 1e100] off the exponential regime, takes
     # one chained test; every other argument takes the branch below
     if not (type(x) is float and 0.0 <= x <= 1e100 and approx.regime is not _PURE_EXPONENTIAL):
-        if type(x) is not float:
-            x = argument(x, "eval_approx")
-            if type(x) is float:
-                return eval_approx(approx, x)
-            if approx.regime is _PURE_EXPONENTIAL:
-                return libm_map(math.exp, -x)
-            far = x > 1e100
-            if far.any():
-                out = np.empty(x.shape)
-                out[far] = _rescaled(approx, x[far])
-                out[~far] = eval_approx(approx, x[~far])
-                return out
-        elif not 0.0 <= x < math.inf:
-            raise DomainError(f"eval_approx requires finite x >= 0, got {x!r}")
-        elif approx.regime is _PURE_EXPONENTIAL:
-            return math.exp(-x)
-        else:
-            return _rescaled(approx, x)
+        x = x if type(x) is float and 0.0 <= x < math.inf else argument(x, "eval_approx")
+        if approx.regime is _PURE_EXPONENTIAL:
+            return libm(x).exp(-x)
+        far = x > 1e100
+        if type(x) is float:
+            if far:
+                return _rescaled(approx, x)
+        elif far.any():
+            out = np.empty(x.shape)
+            out[far] = _rescaled(approx, x[far])
+            out[~far] = eval_approx(approx, x[~far])
+            return out
     return (approx.n0 + approx.n1 * x) / (1.0 + approx.d1 * x + approx.d2 * x * x)
 
 

@@ -1,5 +1,5 @@
-"""Parameter validation for E_{alpha,beta}(-x), and the argument check
-shared by the evaluators.
+"""Parameter validation for E_{alpha,beta}(-x), and the argument conversion
+and x >= 0 test shared by the evaluators.
 
 The approximation construction splits into five mutually exclusive regimes
 inside the complete-monotonicity region {0 < alpha <= 1, beta >= alpha},
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterDomainError
 
-__all__ = ["Regime", "MLParams", "classify", "argument", "argument_array"]
+__all__ = ["Regime", "MLParams", "classify", "convert", "argument"]
 
 
 class Regime(enum.Enum):
@@ -73,29 +73,33 @@ def classify(alpha: float, beta: float) -> MLParams:
     return MLParams(alpha, beta)
 
 
+def convert(x, op: str, array: bool = True):
+    """x as a float (a real number or a 0-d array counts as one) or, if
+    `array`, a 1-D float64 array. Raises DomainError naming `op` for any other
+    kind; the range of the value is each op's own test."""
+    if type(x) is float:
+        return x
+    if isinstance(x, np.ndarray) and x.ndim and array:
+        if x.ndim != 1:
+            raise DomainError(f"{op} takes a float or a 1-D array, got shape {x.shape}")
+        return np.asarray(x, dtype=np.float64)
+    if not isinstance(x, (numbers.Real, np.ndarray)) or np.ndim(x):
+        kind = "a float or a 1-D array" if array else "a float"
+        raise DomainError(f"{op} takes {kind}, got {type(x).__name__}")
+    return float(x)
+
+
 def argument(x, op: str, *, array: bool = True, finite: bool = True):
-    """x checked as the argument of `op`: a float (a real number or a 0-d array
-    counts as one) or, if `array`, a 1-D float64 array. Raises DomainError
-    naming `op` unless every value is >= 0 and, if `finite`, finite."""
-    if type(x) is not float:
-        if isinstance(x, np.ndarray) and x.ndim and array:
-            return argument_array(x, op, finite)
-        if not isinstance(x, (numbers.Real, np.ndarray)) or np.ndim(x):
-            kind = "a float or a 1-D array" if array else "a float"
-            raise DomainError(f"{op} takes {kind}, got {type(x).__name__}")
-        x = float(x)
-    if not (x >= 0.0 and (x < math.inf or not finite)):
-        argument_array(np.array([x]), op, finite)  # raises, naming x
-    return x
-
-
-def argument_array(x: np.ndarray, op: str, finite: bool = True) -> np.ndarray:
-    """x as a 1-D float64 array of entries >= 0, finite if `finite`. Raises
-    DomainError naming `op` for another shape or the first entry outside."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DomainError(f"{op} takes a float or a 1-D array, got shape {arr.shape}")
-    if not (arr.min(initial=0.0) >= 0.0 and (not finite or arr.max(initial=0.0) < math.inf)):
-        bad = float(arr[~((arr >= 0.0) & (np.isfinite(arr) | (not finite)))][0])
-        raise DomainError(f"{op} requires {'finite ' if finite else ''}x >= 0, got {bad!r}")
-    return arr
+    """x converted as the argument of an x-op `op`: a float or, if `array`, a
+    1-D float64 array (see `convert`). Raises DomainError naming `op` and the
+    first value unless every value is >= 0 and, if `finite`, finite."""
+    x = convert(x, op, array)
+    if type(x) is float:
+        if x >= 0.0 and (x < math.inf or not finite):
+            return x
+        bad = x
+    else:
+        if x.min(initial=0.0) >= 0.0 and (not finite or x.max(initial=0.0) < math.inf):
+            return x
+        bad = float(x[~((x >= 0.0) & (np.isfinite(x) | (not finite)))][0])
+    raise DomainError(f"{op} requires {'finite ' if finite else ''}x >= 0, got {bad!r}")

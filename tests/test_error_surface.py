@@ -116,11 +116,21 @@ def test_real_scalars_and_0d_arrays_count_as_floats():
 
 
 NEXT_1E100 = math.nextafter(1e100, math.inf)
-TARGETS = {"APPROX": APPROX, "STEEP": STEEP, "EXP": EXP, "P": P, "RELAX": RELAX, "TWO": TWO}
+TARGETS = {
+    "APPROX": APPROX, "STEEP": STEEP, "EXP": EXP, "P": P, "RELAX": RELAX, "TWO": TWO,
+    # t^p overflows at subnormal t for p = -0.99 and -0.98
+    "RELAX_99": mlpade.RelaxationSpec(0.99, 1.0, 1.0),
+    "RELAX_01": mlpade.RelaxationSpec(0.01, 1.0, 1.0),
+    "TWO_98": mlpade.TwoTermSpec(0.01, 0.02, 0.0),
+    "RELAX_HALF": mlpade.RelaxationSpec(0.5, 1.0, 1.0),
+    # lambda * t^alpha overflows at t = 1e300
+    "RELAX_STIFF": mlpade.RelaxationSpec(0.5, 1e300, 1.0),
+}
 EVAL, INV = mlpade.eval_approx, mlpade.inv_pade_from_approx
 
 # the values at the edges of each hot case's admission test, and the
-# messages a float outside it gets: (function, first argument, the others, want)
+# messages a float outside it gets: (function, first argument, the others,
+# want), where a str want is a DomainError's message
 ADMISSION_EDGES = [
     (EVAL, "APPROX", (0.0,), 0.9357787209128731),
     (EVAL, "APPROX", (-0.0,), 0.9357787209128731),
@@ -154,6 +164,50 @@ ADMISSION_EDGES = [
     (mlpade.two_term_pade, "TWO", (-1.0,), "solution is singular at the origin; need t > 0, got -1.0"),
     (mlpade.relaxation_pade, "RELAX", (1.0, "classical"),
      "prefactor must be one of ('paper', 'standard'), got 'classical'"),
+    # a subnormal t takes the general branch, which keeps its value where t^p
+    # is finite and names the op, t and the power where it overflows
+    (mlpade.relaxation_pade, "RELAX_HALF", (5e-324,), 2.538240300160582e+161),
+    (mlpade.two_term_pade, "TWO_98", (5e-324,),
+     mlpade.ResultOverflowError("two_term_pade: t**-0.98 at t=5e-324 overflows a double")),
+    (mlpade.two_term_exact, "TWO_98", (5e-324,),
+     mlpade.ResultOverflowError("two_term_exact: t**-0.98 at t=5e-324 overflows a double")),
+    (mlpade.relaxation_exact, "RELAX_99", (5e-324,),
+     mlpade.ResultOverflowError("relaxation_exact: t**-0.99 at t=5e-324 overflows a double")),
+    (mlpade.relaxation_pade, "RELAX_01", (5e-324, "standard"),
+     mlpade.ResultOverflowError("relaxation_pade: t**-0.99 at t=5e-324 overflows a double")),
+    # lambda * t^alpha overflows to inf, where E(-x) is 0 in the limit
+    (mlpade.relaxation_pade, "RELAX_STIFF", (1e300,), 0.0),
+    (mlpade.relaxation_pade, "RELAX_STIFF", (1e300, "standard"), 0.0),
+    (mlpade.relaxation_exact, "RELAX_STIFF", (1e300,), 0.0),
+]
+
+# a numpy scalar or a 0-d array outside the domain gets the float's message
+_N0 = "0.9357787209128731"
+ADMISSION_EDGES += [
+    (f, target, (kind(v),), message)
+    for f, target, v, message in [
+        (INV, "APPROX", -1.0, f"y=-1.0 outside (0, {_N0}]"),
+        (INV, "APPROX", math.nan, f"y=nan outside (0, {_N0}]"),
+        (INV, "APPROX", math.inf, f"y=inf outside (0, {_N0}]"),
+        (INV, "APPROX", -math.inf, f"y=-inf outside (0, {_N0}]"),
+        (mlpade.inv_pade, "P", -1.0, f"y=-1.0 outside (0, {_N0}]"),
+        (mlpade.inv_pade, "P", math.nan, f"y=nan outside (0, {_N0}]"),
+        (mlpade.inv_pade, "P", math.inf, f"y=inf outside (0, {_N0}]"),
+        (mlpade.inv_pade, "P", -math.inf, f"y=-inf outside (0, {_N0}]"),
+    ] + [
+        (ode, spec, v, message)
+        for ode, spec in (
+            (mlpade.relaxation_pade, "RELAX"), (mlpade.relaxation_exact, "RELAX"),
+            (mlpade.two_term_pade, "TWO"), (mlpade.two_term_exact, "TWO"),
+        )
+        for v, message in (
+            (-1.0, "solution is singular at the origin; need t > 0, got -1.0"),
+            (math.nan, "need finite t, got nan"),
+            (math.inf, "need finite t, got inf"),
+            (-math.inf, "need finite t, got -inf"),
+        )
+    ]
+    for kind in (np.float64, np.float32, np.array)
 ]
 
 
@@ -165,5 +219,6 @@ def test_admission_edges_keep_values_and_float_messages(f, target, args, want):
     if isinstance(want, float):
         assert _same_float(f(TARGETS[target], *args), want)
     else:
-        with pytest.raises(mlpade.DomainError, match=f"^{re.escape(want)}$"):
+        error = type(want) if isinstance(want, Exception) else mlpade.DomainError
+        with pytest.raises(error, match=f"^{re.escape(str(want))}$"):
             f(TARGETS[target], *args)
