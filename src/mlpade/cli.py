@@ -20,7 +20,7 @@ from .fode import (
     two_term_exact,
     two_term_pade,
 )
-from .harness import GridSpec, DEFAULT_GRID, emit_report, error_scan, format_shortest
+from .harness import GridSpec, DEFAULT_GRID, _csv, emit_report, error_scan, format_shortest
 from .inverse import inv_pade
 from .pade import build_approx, eval_approx
 from .params import classify
@@ -88,7 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="MIN:MAX:N",
         help="logarithmic time grid (default 0.01:100:200)",
     )
-    p.add_argument("--prefactor", choices=PREFACTORS, default="paper")
+    p.add_argument(
+        "--prefactor", choices=PREFACTORS, default="paper", help="relaxation equation only"
+    )
     p.add_argument("--csv", metavar="PATH", help="write t,pade,exact,abs_error csv")
 
     sub.add_parser("selftest", help="run the built-in invariant suite")
@@ -170,12 +172,8 @@ def _cmd_ode(args) -> int:
         rows = [(t, two_term_pade(spec, t), two_term_exact(spec, t)) for t in ts]
     rows = [(t, p, e, abs(p - e)) for t, p, e in rows]
     if args.csv:
-        lines = ["t,pade,exact,abs_error"]
-        lines += [
-            ",".join(format_shortest(v) for v in row) for row in rows
-        ]
         with open(args.csv, "wb") as fh:
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+            fh.write(_csv("t,pade,exact,abs_error", rows))
     worst = max(rows, key=lambda r: r[3])
     print(f"{format_shortest(worst[3])},{format_shortest(worst[0])}")
     return EXIT_OK

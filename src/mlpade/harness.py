@@ -156,6 +156,14 @@ def format_shortest(v: float) -> str:
     return s[:-2] if s.endswith(".0") else s
 
 
+def _csv(header: str, rows) -> bytes:
+    """The one CSV format of `scan --csv` and `ode --csv`: the header, then
+    each row's values in shortest round-trip form joined by commas, each line
+    ended by a newline, in ASCII."""
+    lines = [header] + [",".join(map(format_shortest, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 def emit_report(report: ErrorReport, fmt: str = "csv") -> bytes:
     """Serialize a report: csv columns x,approx,oracle,abs_error, or a
     one-line summary alpha,beta,max_abs_error,argmax_x.
@@ -166,13 +174,8 @@ def emit_report(report: ErrorReport, fmt: str = "csv") -> bytes:
     """
     if fmt == "csv":
         inverse = report.max_rel_error is not None
-        lines = ["y,x_approx,x_true,abs_error" if inverse else "x,approx,oracle,abs_error"]
-        for x, a, o, e in report.samples:
-            lines.append(
-                f"{format_shortest(x)},{format_shortest(a)},"
-                f"{format_shortest(o)},{format_shortest(e)}"
-            )
-        return ("\n".join(lines) + "\n").encode("ascii")
+        header = "y,x_approx,x_true,abs_error" if inverse else "x,approx,oracle,abs_error"
+        return _csv(header, report.samples)
     if fmt == "summary":
         p = report.params
         return (

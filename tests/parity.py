@@ -1,0 +1,147 @@
+"""Parity recorder: every float entry point of mlpade on a seeded sweep of
+arguments, one line per call, so that two checkouts can be compared bit for
+bit.
+
+    PYTHONPATH=<checkout>/src python tests/parity.py OUT [--seed N] [--draws N]
+    diff parent.txt change.txt
+
+Each line is `op <TAB> args <TAB> outcome`: the outcome is the result's type
+name and `float.hex` (one per entry for an array), or the exception's class
+name and message. The sweep covers each float entry point, each kind of
+argument (float, np.float64, np.float32, 0-d array, 1-D array, list, str),
+the edges of the admission tests (0, -0, subnormals, the smallest normal and
+its neighbour, 1e100 and its successor, 1e300, the largest double, +-inf,
+nan, -1, and the inverse's n0 edges), seeded log-uniform draws, and the
+relaxation prefactors, valid and not. Only public names are used, so the one
+file records any checkout. Its name keeps it out of pytest's collection;
+`tests/test_public_api.py` records a small sample in-process.
+"""
+
+import argparse
+import math
+import sys
+import warnings
+
+import numpy as np
+
+import mlpade as ml
+
+ENTRY_POINTS = (
+    "eval_approx",
+    "inv_pade",
+    "inv_pade_from_approx",
+    "ml_oracle",
+    "relaxation_exact",
+    "relaxation_pade",
+    "two_term_exact",
+    "two_term_pade",
+)
+
+PAIRS = [
+    (0.5, 1.5), (0.5, 1.0), (0.5, 0.5), (1.0, 2.0), (1.0, 1.0), (1.0, 1.0000001),
+    (0.3, 0.9), (0.3, 0.3), (0.9, 1.5), (0.05, 0.7), (0.5, 100.0), (0.9, 170.7),
+    (0.8, 0.8),  # the diagonal past 1/2: the approximant is refused
+]
+RELAXATION_SPECS = [
+    (0.5, 1.0, 1.0), (0.3, 1.7, 2.5), (0.45, 0.2, -3.0), (0.01, 1.0, 1.0),
+    (0.5, 1e300, 1.0),  # lambda*t^alpha overflows at large t
+    (0.5, 1.0, 0.0),
+    (0.62, 1.0, 1.0), (0.99, 1.0, 1.0),  # the approximant is refused
+]
+TWO_TERM_SPECS = [
+    (0.25, 0.75, 0.5), (0.1, 0.6, -1.0), (0.3, 0.95, 0.0), (0.01, 0.02, 0.0),
+    (0.04, 0.04 + 1e-9, 0.0),  # the matching conditions degenerate
+]
+PREFACTORS = ("paper", "standard", "classical", ["paper"])
+
+TINY = 2.2250738585072014e-308
+EDGES = [
+    0.0, -0.0, 5e-324, 1e-310, math.nextafter(TINY, 0.0), TINY, 1e-3, 0.5, 1.0,
+    26.0, 40.0, 1e100, math.nextafter(1e100, math.inf), 1e300, sys.float_info.max,
+    math.inf, -math.inf, math.nan, -1.0,
+]
+KINDS = (np.float64, np.float32, np.array, lambda v: np.array([v]))
+
+
+def outcome(f, *args) -> str:
+    try:
+        v = f(*args)
+    except Exception as exc:  # the record is the error's class and message
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(v, np.ndarray):
+        return "ndarray " + " ".join(map(float.hex, v.tolist()))
+    return f"{type(v).__name__} {float(v).hex()}"
+
+
+def _arguments(points):
+    """Each point as a float, each edge also as every other kind, and one
+    list and one str."""
+    for v in points:
+        yield v
+    with np.errstate(over="ignore"):
+        for v in EDGES:
+            for kind in KINDS:
+                yield kind(v)
+    yield [1.0]
+    yield "1.0"
+
+
+def records(seed: int = 1, draws: int = 200):
+    """(op, args, outcome) for every call of the sweep, in a fixed order."""
+    rng = np.random.default_rng(seed)
+    xs = EDGES + (10.0 ** rng.uniform(-4.0, 4.0, draws)).tolist()
+    ts = EDGES + (10.0 ** rng.uniform(-3.0, 3.0, draws)).tolist()
+    fractions = rng.uniform(0.0, 1.0, draws).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for pair in PAIRS:
+            params = ml.classify(*pair)
+            for x in _arguments(xs):
+                yield "ml_oracle", f"{pair}, {x!r}", outcome(ml.ml_oracle, params, x)
+            try:
+                approx = ml.build_approx(params)
+            except ml.ConstructionError:
+                for y in _arguments([0.5]):
+                    yield "inv_pade", f"{pair}, {y!r}", outcome(ml.inv_pade, params, y)
+                continue
+            n0 = approx.n0
+            ys = [n0, math.nextafter(n0, 0.0), 1e-300 * n0, 2.0 * n0]
+            ys += [u * n0 for u in fractions]
+            for x in _arguments(xs):
+                yield "eval_approx", f"{pair}, {x!r}", outcome(ml.eval_approx, approx, x)
+            for y in _arguments(ys):
+                args = f"{pair}, {y!r}"
+                yield "inv_pade", args, outcome(ml.inv_pade, params, y)
+                yield "inv_pade_from_approx", args, outcome(ml.inv_pade_from_approx, approx, y)
+        for s in RELAXATION_SPECS:
+            spec = ml.RelaxationSpec(*s)
+            for t in _arguments(ts):
+                for prefactor in PREFACTORS:
+                    args = f"{s}, {t!r}, {prefactor!r}"
+                    yield "relaxation_pade", args, outcome(ml.relaxation_pade, spec, t, prefactor)
+                    yield "relaxation_exact", args, outcome(ml.relaxation_exact, spec, t, prefactor)
+        for s in TWO_TERM_SPECS:
+            spec = ml.TwoTermSpec(*s)
+            for t in _arguments(ts):
+                args = f"{s}, {t!r}"
+                yield "two_term_pade", args, outcome(ml.two_term_pade, spec, t)
+                yield "two_term_exact", args, outcome(ml.two_term_exact, spec, t)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", help="file to write the records to")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--draws", type=int, default=200, help="seeded points per argument axis")
+    args = ap.parse_args(argv)
+    n = 0
+    with open(args.out, "w", encoding="utf-8") as fh:
+        for record in records(args.seed, args.draws):
+            fh.write("\t".join(record) + "\n")
+            n += 1
+    print(f"{n} records written to {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

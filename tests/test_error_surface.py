@@ -125,6 +125,9 @@ TARGETS = {
     "RELAX_HALF": mlpade.RelaxationSpec(0.5, 1.0, 1.0),
     # lambda * t^alpha overflows at t = 1e300
     "RELAX_STIFF": mlpade.RelaxationSpec(0.5, 1e300, 1.0),
+    # the approximant is refused: not monotone, and degenerate matching conditions
+    "RELAX_62": mlpade.RelaxationSpec(0.62, 1.0, 1.0),
+    "TWO_DEGENERATE": mlpade.TwoTermSpec(0.04, 0.04 + 1e-9, 0.0),
 }
 EVAL, INV = mlpade.eval_approx, mlpade.inv_pade_from_approx
 
@@ -179,6 +182,22 @@ ADMISSION_EDGES = [
     (mlpade.relaxation_pade, "RELAX_STIFF", (1e300,), 0.0),
     (mlpade.relaxation_pade, "RELAX_STIFF", (1e300, "standard"), 0.0),
     (mlpade.relaxation_exact, "RELAX_STIFF", (1e300,), 0.0),
+    # a refused approximant raises after the t test and before t^p is taken
+    (mlpade.relaxation_pade, "RELAX_99", (5e-324,), mlpade.ConstructionError(
+        "approximant is not positive and nonincreasing on [0, inf): need n0 > 0, n1 >= 0, "
+        "d2 > 0 and n1 <= n0*d1, got (n0=0.9941622992160641, n1=0.0, d1=-393.5842866754888, "
+        "d2=99.85063377681988); the diagonal approximant needs alpha <= 1/2")),
+    (mlpade.two_term_pade, "TWO_DEGENERATE", (5e-324,), mlpade.ConstructionError(
+        "coefficient denominator degenerate for alpha=9.999999994736442e-10, beta=0.040000001")),
+]
+ADMISSION_EDGES += [
+    (mlpade.relaxation_pade, "RELAX_62", (t, prefactor), message)
+    for t, message in (
+        (-1.0, "solution is singular at the origin; need t > 0, got -1.0"),
+        (math.nan, "need finite t, got nan"),
+        (math.inf, "need finite t, got inf"),
+    )
+    for prefactor in ("paper", "standard")
 ]
 
 # a numpy scalar or a 0-d array outside the domain gets the float's message

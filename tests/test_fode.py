@@ -13,6 +13,7 @@ from mlpade import (
     build_approx,
     classify,
     eval_approx,
+    ml_oracle,
     relaxation_exact,
     relaxation_pade,
     two_term_exact,
@@ -98,12 +99,17 @@ def test_relaxation_pade_half_alpha_closed_form():
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.45, 0.5])
-def test_relaxation_pade_matches_diagonal_approximant(alpha):
+@pytest.mark.parametrize("prefactor", ["paper", "standard"])
+def test_relaxation_pade_matches_diagonal_approximant(alpha, prefactor):
+    # each solution is c1 * t^p * E(lambda*t^alpha), bit for bit
     spec = RelaxationSpec(alpha, 1.7, 2.5)
-    ap = build_approx(classify(alpha, alpha))
+    params = classify(alpha, alpha)
+    ap = build_approx(params)
+    p = -alpha if prefactor == "paper" else alpha - 1.0
     for t in (0.1, 1.0, 10.0):
-        want = spec.c1 * t**-alpha * eval_approx(ap, spec.lam * t**alpha)
-        assert relaxation_pade(spec, t) == pytest.approx(want, rel=1e-12)
+        x = spec.lam * t**alpha
+        assert relaxation_pade(spec, t, prefactor) == spec.c1 * t**p * eval_approx(ap, x)
+        assert relaxation_exact(spec, t, prefactor) == spec.c1 * t**p * ml_oracle(params, x)
         assert relaxation_pade(spec, t) == pytest.approx(
             relaxation_rational(spec, t), rel=1e-12
         )
@@ -199,12 +205,15 @@ def test_two_term_coeffs_substitution_identity(a, b):
 
 @pytest.mark.parametrize("a,b", [(0.25, 0.75), (0.1, 0.6), (0.3, 0.95)])
 def test_two_term_pade_matches_approximant(a, b):
+    # each solution is (c2 + 1) * t^(b-1) * E(t^(b-a)), bit for bit
     spec = TwoTermSpec(a, b, 0.5)
-    ap = build_approx(classify(b - a, b))
+    params = classify(b - a, b)
+    ap = build_approx(params)
     for t in np.geomspace(1e-2, 1e2, 25):
         t = float(t)
-        want = (spec.c2 + 1.0) * t ** (b - 1.0) * eval_approx(ap, t ** (b - a))
-        assert two_term_pade(spec, t) == pytest.approx(want, rel=1e-12)
+        scale = (spec.c2 + 1.0) * t ** (b - 1.0)
+        assert two_term_pade(spec, t) == scale * eval_approx(ap, t ** (b - a))
+        assert two_term_exact(spec, t) == scale * ml_oracle(params, t ** (b - a))
         assert two_term_pade(spec, t) == pytest.approx(
             two_term_rational(spec, t), rel=1e-12
         )

@@ -29,3 +29,14 @@ def test_the_one_point_views_live_in_the_reference_module():
     for name in ("ml_taylor", "ml_asymptotic", "ml_closed_form"):
         assert callable(getattr(mlpade.reference, name))
         assert not hasattr(mlpade, name)
+
+
+def test_the_parity_recorder_covers_every_float_entry_point():
+    import parity
+
+    ops = set()
+    for op, args, outcome in parity.records(draws=2):
+        ops.add(op)
+        kind, _, rest = outcome.partition(" ")
+        assert kind.endswith("Error:") or rest, (op, args, outcome)
+    assert ops == set(parity.ENTRY_POINTS) <= set(mlpade.__all__)
