@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="logarithmic time grid (default 0.01:100:200)",
     )
     p.add_argument(
-        "--prefactor", choices=PREFACTORS, default="paper", help="relaxation equation only"
+        "--prefactor", choices=PREFACTORS, help="relaxation equation only"
     )
     p.add_argument("--csv", metavar="PATH", help="write t,pade,exact,abs_error csv")
 
@@ -160,14 +160,16 @@ def _cmd_ode(args) -> int:
     ts = _parse_t_grid(args.t_grid)
     if args.relaxation:
         spec = RelaxationSpec(args.alpha, args.lam, args.c1)
+        prefactor = args.prefactor or "paper"
         rows = [
-            (t, relaxation_pade(spec, t, args.prefactor),
-             relaxation_exact(spec, t, prefactor=args.prefactor))
+            (t, relaxation_pade(spec, t, prefactor), relaxation_exact(spec, t, prefactor=prefactor))
             for t in ts
         ]
     else:
         if args.beta is None:
             raise DomainError("--two-term requires --beta")
+        if args.prefactor is not None:
+            raise DomainError("--prefactor applies to the relaxation equation only")
         spec = TwoTermSpec(args.alpha, args.beta, args.c2)
         rows = [(t, two_term_pade(spec, t), two_term_exact(spec, t)) for t in ts]
     rows = [(t, p, e, abs(p - e)) for t, p, e in rows]

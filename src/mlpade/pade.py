@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError
-from .params import MLParams, Regime, argument
+from .params import _PAIR_MEMO_SIZE, MLParams, Regime, argument
 from .special import gamma, libm, rgamma
 
 __all__ = ["RationalApprox", "build_approx", "eval_approx"]
@@ -31,11 +31,6 @@ _DIAGONAL_HINT = "; the diagonal approximant needs alpha <= 1/2"
 # the regime test of eval_approx and inv_pade_from_approx; an attribute lookup
 # on the Enum class would cost about 0.1 us, a third of a float evaluation
 _PURE_EXPONENTIAL = Regime.PURE_EXPONENTIAL
-
-# build_approx's memo: a caller inverts or evaluates one pair many times, and
-# the approximant depends on (alpha, beta) alone. A larger memo was no faster
-# on the benchmark, and each entry it keeps alive pins allocator memory
-_APPROX_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -69,11 +64,11 @@ class RationalApprox:
             )
 
 
-@functools.lru_cache(maxsize=_APPROX_CACHE_SIZE)
+@functools.lru_cache(maxsize=_PAIR_MEMO_SIZE)
 def build_approx(params: MLParams) -> RationalApprox:
     """Assemble the unified rational form for the regime of `params`.
 
-    Memoised per `params` (the last 32 pairs): the returned approximant is
+    Memoised per `params` (the last 128 pairs): the returned approximant is
     immutable and shared between callers. A failed construction is not
     memoised and raises again on the next call."""
     a, b = params.alpha, params.beta

@@ -31,18 +31,22 @@ An array is evaluated in one pass, each entry equal to the float call bit for
 bit. Each closed form is one expression of a float or an array, built from
 `special.piecewise` and `special.libm`, so each of its thresholds is written
 once. The series and the contour are each one array kernel, of which a float
-argument is the one-entry case.
+argument is the one-entry case. The series' coefficients are built once per
+pair (the last 128 pairs are kept) and extended as calls need more terms, so
+no value depends on the calls before it.
 
 `ml_taylor`, a plain double-precision Taylor sum for small x, is not used by
 the oracle; it remains as an independent check of the closed forms.
 """
 
+import functools
 import math
+import threading
 
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .params import MLParams, argument
+from .params import _PAIR_MEMO_SIZE, MLParams, argument
 from .special import erfcx, erfcx_series_tail, libm, piecewise, rgamma
 
 __all__ = [
@@ -116,6 +120,77 @@ def ml_taylor(params: MLParams, x: float) -> float:
     )
 
 
+class _SeriesTable:
+    """The x-independent part of `_series` for one (alpha, beta), built as far
+    as calls have needed it. `table` is one read-only array whose column k
+    holds term k's coefficient and the running bounds `rise` and -`fall`
+    after term k; column 0, the term k = 0 with coefficient 0, holds rise =
+    -inf and fall = inf, which end no entry."""
+
+    table = np.array([[0.0], [-math.inf], [-math.inf]])  # until the first `cover`
+    table.flags.writeable = False
+
+    def __init__(self, alpha: float, beta: float):
+        self.alpha, self.beta = alpha, beta
+        # k, k1, log_c1, e_prev, rise and fall as `cover` names them
+        self.state = (0, 0, 0.0, 0.0, -math.inf, math.inf)
+        self.lock = threading.Lock()
+
+    def cover(self, l_lo: float, l_hi: float) -> np.ndarray:
+        """The table, its loop over k resumed until max(rise, l_lo) >
+        min(fall, l_hi), when each entry with l in [l_lo, l_hi] has ended its
+        sum, or to 400 terms; then published in one assignment."""
+        with self.lock:
+            table, alpha, beta = self.table, self.alpha, self.beta
+            k, k1, log_c1, e_prev, rise, fall = self.state  # k1: the first nonzero term
+            new = []
+            lgamma, gamma, sin, pi = math.lgamma, math.gamma, math.sin, math.pi
+            while rise <= fall and rise <= l_hi and l_lo <= fall and k < _MAX_TERMS:
+                k += 1
+                z = beta - alpha * k
+                if z >= 0.5:
+                    e = -lgamma(z)
+                    c = 1.0 / gamma(z) if z <= _GAMMA_MAX_ARG else 0.0
+                    if k % 2 == 0:
+                        c = -c
+                else:
+                    # 1/Gamma(z) = Gamma(1 - z) sin(pi z) / pi, exactly 0 at the poles
+                    w = 1.0 - z
+                    m = round(z)
+                    e = lgamma(w) - _LN_PI
+                    c = (gamma(w) if w <= _GAMMA_MAX_ARG else math.inf) * sin(pi * (z - m)) / pi
+                    if (m + k) % 2 == 0:
+                        c = -c
+                bound = (e - _LN_TINY) / k  # the envelope underflows for l above it
+                if k > 1 and e - e_prev - 1e-9 > rise:
+                    rise = e - e_prev - 1e-9
+                if k1 and (e - log_c1 + 42.0) / (k - k1) < bound:
+                    bound = (e - log_c1 + 42.0) / (k - k1)
+                if bound < fall:
+                    fall = bound
+                if not math.isfinite(c):
+                    fall = -math.inf
+                elif not k1 and c:
+                    k1, log_c1 = k, math.log(abs(c))
+                e_prev = e
+                new += c, rise, -fall
+            self.state = k, k1, log_c1, e_prev, rise, fall
+            if new:
+                table = np.concatenate((table, np.array(new, np.float64).reshape(-1, 3).T), axis=1)
+                table.flags.writeable = False
+                self.table = table
+            return table
+
+
+_series_table = functools.lru_cache(maxsize=_PAIR_MEMO_SIZE)(_SeriesTable)
+
+
+def _term_counts(table: np.ndarray, ls: np.ndarray):
+    """Each entry's term count by the table's bounds, and the largest."""
+    n = np.minimum(table[1, 1:].searchsorted(ls, "right"), table[2, 1:].searchsorted(-ls, "right"))
+    return n, n.max()
+
+
 def _series(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """-sum_{k>=1} (-x)^{-k} / Gamma(beta - alpha*k) at every entry of x > 0.
 
@@ -126,63 +201,22 @@ def _series(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     below the log-magnitude of the first nonzero term (e^-42 is below a
     double's resolution) or below the smallest double, or whose coefficient
     is not finite, and after 400 terms at most. The rise ends every entry with
-    l below a running bound, the falls every entry with l above another, so
-    one pass over k with the entries sorted by l finds each entry's term
-    count, and builds the x-independent coefficients once, as far as the last
-    entry needs them.
+    l below a running bound, the falls every entry with l above another, so an
+    entry's term count is the last term before l leaves the bounds. The
+    coefficients and bounds depend on the pair alone: they are built once per
+    pair, and a call resumes the pass over k when an entry needs more terms.
     """
-    order = np.argsort(x)
-    xs = x[order]
-    ls = np.log(xs).tolist()
-    lo, hi = 0, len(ls) - 1  # entries lo..hi (by l) are still summing
-    n_terms = [0] * len(ls)
-    rise, fall = -math.inf, math.inf
-    coef = []
-    lgamma, gamma, sin, pi = math.lgamma, math.gamma, math.sin, math.pi
-    e_prev = log_c1 = 0.0
-    k = k1 = 0  # k1: the first term with a nonzero coefficient
-    while lo <= hi and k < _MAX_TERMS:
-        k += 1
-        z = beta - alpha * k
-        if z >= 0.5:
-            e = -lgamma(z)
-            c = 1.0 / gamma(z) if z <= _GAMMA_MAX_ARG else 0.0
-            if k % 2 == 0:
-                c = -c
-        else:
-            # 1/Gamma(z) = Gamma(1 - z) sin(pi z) / pi, exactly 0 at the poles
-            w = 1.0 - z
-            m = round(z)
-            e = lgamma(w) - _LN_PI
-            c = (gamma(w) if w <= _GAMMA_MAX_ARG else math.inf) * sin(pi * (z - m)) / pi
-            if (m + k) % 2 == 0:
-                c = -c
-        bound = (e - _LN_TINY) / k  # the envelope underflows for l above it
-        if k > 1 and e - e_prev - 1e-9 > rise:
-            rise = e - e_prev - 1e-9
-        if k1 and (e - log_c1 + 42.0) / (k - k1) < bound:
-            bound = (e - log_c1 + 42.0) / (k - k1)
-        if bound < fall:
-            fall = bound
-        if not math.isfinite(c):
-            fall = -math.inf
-        elif not k1 and c:
-            k1, log_c1 = k, math.log(abs(c))
-        e_prev = e
-        while lo <= hi and ls[lo] < rise:
-            n_terms[lo] = k - 1
-            lo += 1
-        while lo <= hi and ls[hi] > fall:
-            n_terms[hi] = k - 1
-            hi -= 1
-        coef.append(c)
-    n_terms[lo:hi + 1] = [k] * (hi + 1 - lo)
-    # partial[:, j] sums terms 1..j; the term k = 0 has coefficient 0
-    k = np.arange(max(n_terms, default=0) + 1.0)
-    partial = np.cumsum(np.array([0.0] + coef[:k.size - 1]) * xs[:, None] ** -k, axis=1)
-    out = np.empty(x.size)
-    out[order] = partial[np.arange(x.size), n_terms]
-    return out
+    ls = np.log(x)
+    entry = _series_table(alpha, beta)
+    table = entry.table
+    n_terms, n_max = _term_counts(table, ls)
+    if n_max == table.shape[1] - 1 < _MAX_TERMS:  # an entry may need more terms
+        table = entry.cover(float(ls.min()), float(ls.max()))
+        n_terms, n_max = _term_counts(table, ls)
+    # partial[:, j] sums terms 1..j
+    k = np.arange(n_max + 1.0)
+    partial = np.cumsum(table[0, :k.size] * x[:, None] ** -k, axis=1)
+    return partial[np.arange(x.size), n_terms]
 
 
 def ml_asymptotic(params: MLParams, x: float) -> float:

@@ -12,7 +12,10 @@ argument (float, np.float64, np.float32, 0-d array, 1-D array, list, str),
 the edges of the admission tests (0, -0, subnormals, the smallest normal and
 its neighbour, 1e100 and its successor, 1e300, the largest double, +-inf,
 nan, -1, and the inverse's n0 edges), seeded log-uniform draws, and the
-relaxation prefactors, valid and not. Only public names are used, so the one
+relaxation prefactors, valid and not. Each pair's points past the oracle's
+crossover x**(1/alpha) = 40 are then recorded again, as one array and as
+floats from the largest down, so that a value which depended on the calls
+before it would show. Only public names are used, so the one
 file records any checkout. Its name keeps it out of pytest's collection;
 `tests/test_public_api.py` records a small sample in-process.
 """
@@ -98,6 +101,12 @@ def records(seed: int = 1, draws: int = 200):
             params = ml.classify(*pair)
             for x in _arguments(xs):
                 yield "ml_oracle", f"{pair}, {x!r}", outcome(ml.ml_oracle, params, x)
+            # the series-region points again, as one array and then as floats
+            # from the largest x down, after the sweep has built on the pair
+            far = sorted((x for x in xs if 40.0 ** pair[0] <= x < math.inf), reverse=True)
+            yield "ml_oracle", f"{pair}, array({far!r})", outcome(ml.ml_oracle, params, np.array(far))
+            for x in far:
+                yield "ml_oracle", f"{pair}, {x!r} again", outcome(ml.ml_oracle, params, x)
             try:
                 approx = ml.build_approx(params)
             except ml.ConstructionError:

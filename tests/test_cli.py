@@ -127,6 +127,18 @@ def test_ode_two_term_requires_beta():
     assert r.returncode == 0
 
 
+@pytest.mark.parametrize("prefactor", ["paper", "standard"])
+def test_ode_two_term_refuses_prefactor(prefactor):
+    # the two-term equation has one prefactor; the option is refused, not dropped
+    r = run(
+        "ode", "--two-term", "--alpha", "0.25", "--beta", "0.75",
+        "--t-grid", "0.1:10:5", "--prefactor", prefactor,
+    )
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr == "mlpade: --prefactor applies to the relaxation equation only\n"
+
+
 def test_bad_t_grid():
     r = run("ode", "--relaxation", "--alpha", "0.5", "--t-grid", "nonsense")
     assert r.returncode == 3

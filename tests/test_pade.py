@@ -15,7 +15,10 @@ from mlpade import (
     build_approx,
     classify,
     eval_approx,
+    ml_oracle,
 )
+from mlpade.params import _PAIR_MEMO_SIZE
+from mlpade.reference import _series_table
 from mlpade.special import gamma, rgamma
 from paper_formulas import coeffs_from_closed_form, solve_hermite_pade
 
@@ -346,12 +349,17 @@ def test_failed_construction_is_not_memoised(a, b):
             build_approx(classify(a, b))
 
 
-def test_build_approx_memo_is_bounded():
-    bound = build_approx.cache_info().maxsize
+@pytest.mark.parametrize("memo, fill", [
+    (build_approx, build_approx),
+    (_series_table, lambda params: ml_oracle(params, 1e4)),  # the series' coefficient tables
+], ids=["build_approx", "series_table"])
+def test_per_pair_memo_is_bounded(memo, fill):
+    bound = memo.cache_info().maxsize
+    assert bound == _PAIR_MEMO_SIZE
     for k in range(bound + 50):
-        build_approx(classify(0.5, 2.0 + k / 64.0))
-        assert build_approx.cache_info().currsize <= bound
-    assert build_approx.cache_info().currsize == bound
+        fill(classify(0.5, 2.0 + k / 64.0))
+        assert memo.cache_info().currsize <= bound
+    assert memo.cache_info().currsize == bound
 
 
 # b from 72, where forming Gamma(b)^2 would overflow, up to Gamma(b + a)'s

@@ -4,14 +4,18 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlpade
 from mlpade import DomainError, NonConvergenceError, classify, ml_oracle
-from mlpade.reference import ml_asymptotic, ml_closed_form, ml_taylor
+from mlpade.params import _PAIR_MEMO_SIZE
+from mlpade.reference import _series_table, ml_asymptotic, ml_closed_form, ml_taylor
 from mlpade.special import erfcx, rgamma
 from talbot_reference import ml_talbot
 
@@ -290,3 +294,113 @@ def test_asymptotic_diagonal_far_past_crossover_matches_reference(a, x):
     # envelope dropped (0.95, 0.95, x = 11597)'s sixth term, 2e-14 relative
     got = ml_oracle(classify(a, a), x)
     assert got == pytest.approx(ml_talbot(a, a, x), rel=2e-15, abs=0.0)
+
+
+def _series_one_pass(alpha, beta, x):
+    """The series as one pass over k per call, with the stop rules of
+    `reference._series` and no table kept between calls: the reference that
+    the memoised tables must reproduce bit for bit."""
+    order = np.argsort(x)
+    ls = np.log(x[order]).tolist()
+    lo, hi = 0, len(ls) - 1
+    n_terms, coef = [0] * len(ls), [0.0]
+    rise, fall, e_prev, log_c1, k, k1 = -math.inf, math.inf, 0.0, 0.0, 0, 0
+    while lo <= hi and k < 400:
+        k += 1
+        z = beta - alpha * k
+        if z >= 0.5:
+            e = -math.lgamma(z)
+            c = (1.0 / math.gamma(z) if z <= 171.6 else 0.0) * (-1) ** (k + 1)
+        else:
+            m = round(z)
+            e = math.lgamma(1.0 - z) - math.log(math.pi)
+            g = math.gamma(1.0 - z) if 1.0 - z <= 171.6 else math.inf
+            c = g * math.sin(math.pi * (z - m)) / math.pi * (-1) ** (m + k + 1)
+        bound = (e + 745.0) / k
+        if k > 1:
+            rise = max(rise, e - e_prev - 1e-9)
+        if k1:
+            bound = min(bound, (e - log_c1 + 42.0) / (k - k1))
+        fall = min(fall, bound) if math.isfinite(c) else -math.inf
+        if math.isfinite(c) and not k1 and c:
+            k1, log_c1 = k, math.log(abs(c))
+        e_prev = e
+        while lo <= hi and ls[lo] < rise:
+            n_terms[lo], lo = k - 1, lo + 1
+        while lo <= hi and ls[hi] > fall:
+            n_terms[hi], hi = k - 1, hi - 1
+        coef.append(c)
+    n_terms[lo:hi + 1] = [k] * (hi + 1 - lo)
+    out = np.empty(x.size)
+    for i, n in zip(order.tolist(), n_terms):
+        out[i] = np.cumsum(np.array(coef[:n + 1]) * x[i] ** -np.arange(n + 1.0))[-1]
+    return out
+
+
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+@st.composite
+def series_pairs(draw):
+    a = draw(st.floats(0.02, 1.0))
+    b = draw(st.one_of(st.just(a), st.floats(a, a + 3.0), st.floats(a, 170.0)))
+    decades = draw(st.lists(st.floats(0.0, 12.0), min_size=1, max_size=12))
+    return a, b, 40.0**a * 10.0 ** np.array(decades)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(series_pairs())
+def test_series_values_do_not_depend_on_call_history(case):
+    # a pair's table grows as calls need more terms and is rebuilt after
+    # eviction; cold, grown by a narrower or a wider call, grown by floats
+    # from the largest x down, and rebuilt, it gives the one-pass values
+    a, b, xs = case
+    params = classify(a, b)
+    if (a, b) in CLOSED_FORM_PAIRS:
+        return
+    want = _bits(_series_one_pass(a, b, xs))
+    _series_table.cache_clear()
+    assert _bits(ml_oracle(params, xs)) == want  # cold
+    for grow in (np.sort(xs)[[xs.size // 2]], 40.0**a * np.geomspace(1.0, 1e14, 9)):
+        _series_table.cache_clear()
+        ml_oracle(params, grow)  # a narrower, then a wider call first
+        assert _bits(ml_oracle(params, xs)) == want
+    _series_table.cache_clear()
+    floats = {x: ml_oracle(params, x) for x in sorted(xs.tolist(), reverse=True)}
+    assert _bits([floats[x] for x in xs.tolist()]) == want  # largest x first
+    assert _bits(ml_oracle(params, xs)) == want
+    for k in range(_PAIR_MEMO_SIZE):  # evicts the pair
+        ml_oracle(classify(0.5, 2.0 + k / 64.0), 1e4)
+    assert _bits([ml_oracle(params, x) for x in xs.tolist()]) == want
+
+
+def test_series_table_extended_by_threads_at_once():
+    # eight threads grow one pair's table at once, each from its own first
+    # point, under a short switch interval; an extension lost or torn between
+    # the loop state and the published table would change some value
+    params = classify(0.37, 2.9)
+    xs = (40.0**0.37 * np.geomspace(1.0, 1e12, 40)).tolist()
+    want = _series_one_pass(0.37, 2.9, np.array(xs)).tolist()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            _series_table.cache_clear()
+            got, start = {}, threading.Barrier(8)
+
+            def work(order):
+                start.wait(timeout=60)
+                got[tuple(order)] = [ml_oracle(params, xs[i]) for i in order]
+
+            orders = [list(range(5 * j, len(xs))) + list(range(5 * j)) for j in range(8)]
+            threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            for order in orders:
+                assert got[tuple(order)] == [want[i] for i in order]
+    finally:
+        sys.setswitchinterval(interval)
