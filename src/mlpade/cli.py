@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage error (from argparse), 3 parameter/domain
-error, 4 numerical failure (construction, non-convergence, overflow).
+Exit codes: 0 success, 2 usage error (from argparse, or a --csv path that
+cannot be written), 3 parameter/domain error, 4 numerical failure
+(construction, non-convergence, overflow).
 All numeric output uses shortest round-trip decimal formatting; diagnostics
 go to stderr.
 """
@@ -136,13 +137,23 @@ def _cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
+def _write_csv(path: str, data: bytes) -> bool:
+    """Write a --csv file; on failure say why on stderr and return False."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        print(f"mlpade: cannot write CSV to {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_scan(args) -> int:
     params = classify(args.alpha, args.beta)
     grid = GridSpec(args.grid_min, args.grid_max, args.points, include_zero=True)
     report = error_scan(params, grid)
-    if args.csv:
-        with open(args.csv, "wb") as fh:
-            fh.write(emit_report(report, "csv"))
+    if args.csv and not _write_csv(args.csv, emit_report(report, "csv")):
+        return EXIT_USAGE
     sys.stdout.write(emit_report(report, "summary").decode("ascii"))
     return EXIT_OK
 
@@ -173,9 +184,8 @@ def _cmd_ode(args) -> int:
         spec = TwoTermSpec(args.alpha, args.beta, args.c2)
         rows = [(t, two_term_pade(spec, t), two_term_exact(spec, t)) for t in ts]
     rows = [(t, p, e, abs(p - e)) for t, p, e in rows]
-    if args.csv:
-        with open(args.csv, "wb") as fh:
-            fh.write(_csv("t,pade,exact,abs_error", rows))
+    if args.csv and not _write_csv(args.csv, _csv("t,pade,exact,abs_error", zip(*rows))):
+        return EXIT_USAGE
     worst = max(rows, key=lambda r: r[3])
     print(f"{format_shortest(worst[3])},{format_shortest(worst[0])}")
     return EXIT_OK

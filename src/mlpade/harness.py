@@ -3,12 +3,16 @@
 The forward scan measures |A(x) - E_{alpha,beta}(-x)| over a grid; the
 inverse scan measures the distance between the algebraic inverse of the
 approximant and the true functional inverse obtained by bisecting the
-oracle. Reports serialize deterministically to CSV or a one-line summary.
+oracle. A report keeps the scan's four columns as read-only float64 arrays
+and its worst point; its per-point `samples` tuples are built only when read.
+Reports serialize deterministically to CSV, formatted from the columns, or to
+a one-line summary.
 """
 
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,14 +80,45 @@ class GridSpec:
 DEFAULT_GRID = GridSpec(1e-4, 1e4, 4000, include_zero=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorReport:
+    """A scan's result. `columns` holds the four read-only float64 columns:
+    x, approx, oracle and abs_error, or y, x_approx, x_true and abs_error
+    for an inverse scan (the report with a max_rel_error). Two reports are
+    equal when every field and every column entry are."""
+
     params: MLParams
     grid: GridSpec
     max_abs_error: float
     argmax_x: float
-    samples: list = field(repr=False)
+    columns: tuple = field(repr=False)
     max_rel_error: float | None = None
+
+    @functools.cached_property
+    def samples(self) -> list:
+        """The rows as tuples of four floats, built from the columns on
+        first read; the scan and its summary never read them."""
+        x, approx, oracle, err = self.columns
+        return list(zip(x.tolist(), approx.tolist(), oracle.tolist(), err.tolist()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _scalars(self) == _scalars(other) and all(
+            a is b or np.array_equal(a, b) for a, b in zip(self.columns, other.columns)
+        )
+
+
+_scalars = operator.attrgetter("params", "grid", "max_abs_error", "argmax_x", "max_rel_error")
+
+
+def _report(params, grid, columns, max_rel_error=None) -> ErrorReport:
+    """The report of four float64 columns, each made read-only; its worst
+    point is the first entry of the largest abs_error."""
+    for c in columns:
+        c.flags.writeable = False
+    i = int(np.argmax(columns[3]))
+    return ErrorReport(params, grid, float(columns[3][i]), float(columns[0][i]), columns, max_rel_error)
 
 
 def error_scan(params: MLParams, grid: GridSpec = DEFAULT_GRID) -> ErrorReport:
@@ -91,10 +126,7 @@ def error_scan(params: MLParams, grid: GridSpec = DEFAULT_GRID) -> ErrorReport:
     xs = grid.array
     approx = eval_approx(build_approx(params), xs)
     oracle = ml_oracle(params, xs)
-    err = np.abs(approx - oracle)
-    samples = list(zip(xs.tolist(), approx.tolist(), oracle.tolist(), err.tolist()))
-    worst = samples[int(np.argmax(err))]
-    return ErrorReport(params, grid, worst[3], worst[0], samples)
+    return _report(params, grid, (xs, approx, oracle, np.abs(approx - oracle)))
 
 
 def _bisect_inverse(params, y):
@@ -137,31 +169,28 @@ def inverse_error_scan(params: MLParams, y_grid: GridSpec) -> ErrorReport:
     if y_grid.include_zero or y_grid.x_max > hi * (1.0 + 1e-12):
         raise DomainError(f"y grid must lie inside the inverse domain (0, {hi!r}]")
     approx = build_approx(params)
-    samples = []
-    max_rel = 0.0
-    for y in y_grid.points():
-        y = min(y, hi)
-        x_alg = inv_pade_from_approx(approx, y)
-        x_true = _bisect_inverse(params, y)
-        err = abs(x_alg - x_true)
-        samples.append((y, x_alg, x_true, err))
-        max_rel = max(max_rel, err / (1.0 + x_true))
-    worst = max(samples, key=lambda s: s[3])
-    return ErrorReport(params, y_grid, worst[3], worst[0], samples, max_rel)
+    ys = np.minimum(y_grid.array, hi)
+    x_alg, x_true = np.empty_like(ys), np.empty_like(ys)
+    for i, y in enumerate(ys.tolist()):
+        x_alg[i] = inv_pade_from_approx(approx, y)
+        x_true[i] = _bisect_inverse(params, y)
+    err = np.abs(x_alg - x_true)
+    max_rel = float(np.max(err / (1.0 + x_true)))
+    return _report(params, y_grid, (ys, x_alg, x_true, err), max_rel)
 
 
 def format_shortest(v: float) -> str:
     """Shortest decimal string that round-trips to the same double."""
-    s = repr(float(v))
-    return s[:-2] if s.endswith(".0") else s
+    return repr(float(v)).removesuffix(".0")
 
 
-def _csv(header: str, rows) -> bytes:
+def _csv(header: str, columns) -> bytes:
     """The one CSV format of `scan --csv` and `ode --csv`: the header, then
-    each row's values in shortest round-trip form joined by commas, each line
-    ended by a newline, in ASCII."""
-    lines = [header] + [",".join(map(format_shortest, row)) for row in rows]
-    return ("\n".join(lines) + "\n").encode("ascii")
+    one line per row of the columns, its values in `format_shortest`'s form
+    joined by commas, each line ended by a newline, in ASCII. Each column is
+    formatted in one pass, without a call per value."""
+    cells = [[s.removesuffix(".0") for s in map(repr, map(float, c))] for c in columns]
+    return "\n".join([header, *map(",".join, zip(*cells)), ""]).encode("ascii")
 
 
 def emit_report(report: ErrorReport, fmt: str = "csv") -> bytes:
@@ -175,7 +204,7 @@ def emit_report(report: ErrorReport, fmt: str = "csv") -> bytes:
     if fmt == "csv":
         inverse = report.max_rel_error is not None
         header = "y,x_approx,x_true,abs_error" if inverse else "x,approx,oracle,abs_error"
-        return _csv(header, report.samples)
+        return _csv(header, (c.tolist() for c in report.columns))
     if fmt == "summary":
         p = report.params
         return (

@@ -31,9 +31,11 @@ An array is evaluated in one pass, each entry equal to the float call bit for
 bit. Each closed form is one expression of a float or an array, built from
 `special.piecewise` and `special.libm`, so each of its thresholds is written
 once. The series and the contour are each one array kernel, of which a float
-argument is the one-entry case. The series' coefficients are built once per
-pair (the last 128 pairs are kept) and extended as calls need more terms, so
-no value depends on the calls before it.
+argument is the one-entry case. Each kernel's x-independent part is kept per
+pair, in one memo of the last 128 pairs: the series' coefficients, built as
+calls need more terms, so that no value depends on the calls before it, and
+the integrand's two powers of u on the contour's nodes, built on the pair's
+first contour call.
 
 `ml_taylor`, a plain double-precision Taylor sum for small x, is not used by
 the oracle; it remains as an independent check of the closed forms.
@@ -120,12 +122,16 @@ def ml_taylor(params: MLParams, x: float) -> float:
     )
 
 
-class _SeriesTable:
-    """The x-independent part of `_series` for one (alpha, beta), built as far
-    as calls have needed it. `table` is one read-only array whose column k
-    holds term k's coefficient and the running bounds `rise` and -`fall`
-    after term k; column 0, the term k = 0 with coefficient 0, holds rise =
-    -inf and fall = inf, which end no entry."""
+class _PairTable:
+    """The x-independent parts of the oracle's two kernels for one
+    (alpha, beta), each built when a call first needs it.
+
+    `table`, for `_series`, is built as far as calls have needed it: one
+    read-only array whose column k holds term k's coefficient and the running
+    bounds `rise` and -`fall` after term k; column 0, the term k = 0 with
+    coefficient 0, holds rise = -inf and fall = inf, which end no entry.
+    `nodes`, for `_ml_contour`, holds u^(alpha-beta) and u^alpha on the
+    contour's nodes."""
 
     table = np.array([[0.0], [-math.inf], [-math.inf]])  # until the first `cover`
     table.flags.writeable = False
@@ -181,8 +187,12 @@ class _SeriesTable:
                 self.table = table
             return table
 
+    @functools.cached_property
+    def nodes(self) -> tuple:
+        return np.exp((self.alpha - self.beta) * _LOG_U), np.exp(self.alpha * _LOG_U)
 
-_series_table = functools.lru_cache(maxsize=_PAIR_MEMO_SIZE)(_SeriesTable)
+
+_pair_table = functools.lru_cache(maxsize=_PAIR_MEMO_SIZE)(_PairTable)
 
 
 def _term_counts(table: np.ndarray, ls: np.ndarray):
@@ -207,10 +217,12 @@ def _series(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     pair, and a call resumes the pass over k when an entry needs more terms.
     """
     ls = np.log(x)
-    entry = _series_table(alpha, beta)
+    entry = _pair_table(alpha, beta)
     table = entry.table
-    n_terms, n_max = _term_counts(table, ls)
-    if n_max == table.shape[1] - 1 < _MAX_TERMS:  # an entry may need more terms
+    built = table.shape[1] - 1  # the terms in the table
+    if built:
+        n_terms, n_max = _term_counts(table, ls)
+    if not built or n_max == built < _MAX_TERMS:  # an entry may need more terms
         table = entry.cover(float(ls.min()), float(ls.max()))
         n_terms, n_max = _term_counts(table, ls)
     # partial[:, j] sums terms 1..j
@@ -289,7 +301,8 @@ def ml_closed_form(params: MLParams, x: float) -> float | None:
 def _ml_contour(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """E_{alpha,beta}(-x) by the Talbot contour integral at every entry of x;
     for x**(1/alpha) < 40."""
-    g = np.exp((alpha - beta) * _LOG_U) / (np.exp(alpha * _LOG_U) + x[:, None])
+    num, den = _pair_table(alpha, beta).nodes
+    g = num / (den + x[:, None])
     # each row summed on its own, in one fixed order, so that an entry does not
     # depend on the rows around it; a matrix product (BLAS) would not ensure it
     return np.einsum("ij,j->i", g, _WEIGHTS).real

@@ -11,9 +11,10 @@ name and message. The sweep covers each float entry point, each kind of
 argument (float, np.float64, np.float32, 0-d array, 1-D array, list, str),
 the edges of the admission tests (0, -0, subnormals, the smallest normal and
 its neighbour, 1e100 and its successor, 1e300, the largest double, +-inf,
-nan, -1, and the inverse's n0 edges), seeded log-uniform draws, and the
-relaxation prefactors, valid and not. Each pair's points past the oracle's
-crossover x**(1/alpha) = 40 are then recorded again, as one array and as
+nan, -1, and the inverse's n0 edges), seeded log-uniform draws, the
+relaxation prefactors, valid and not, and each pair's `error_scan` and
+`inverse_error_scan` reports on small grids. Each pair's points past the
+oracle's crossover x**(1/alpha) = 40 are then recorded again, as one array and as
 floats from the largest down, so that a value which depended on the calls
 before it would show. Only public names are used, so the one
 file records any checkout. Its name keeps it out of pytest's collection;
@@ -30,9 +31,11 @@ import numpy as np
 import mlpade as ml
 
 ENTRY_POINTS = (
+    "error_scan",
     "eval_approx",
     "inv_pade",
     "inv_pade_from_approx",
+    "inverse_error_scan",
     "ml_oracle",
     "relaxation_exact",
     "relaxation_pade",
@@ -63,6 +66,7 @@ EDGES = [
     26.0, 40.0, 1e100, math.nextafter(1e100, math.inf), 1e300, sys.float_info.max,
     math.inf, -math.inf, math.nan, -1.0,
 ]
+SCAN_GRID = ml.GridSpec(1e-3, 1e3, 30, include_zero=True)
 KINDS = (np.float64, np.float32, np.array, lambda v: np.array([v]))
 
 
@@ -74,6 +78,20 @@ def outcome(f, *args) -> str:
     if isinstance(v, np.ndarray):
         return "ndarray " + " ".join(map(float.hex, v.tolist()))
     return f"{type(v).__name__} {float(v).hex()}"
+
+
+def report_outcome(f, *args) -> str:
+    """A scan's report: its type name, each column as `float.hex` entries,
+    then max_abs_error, argmax_x and max_rel_error; or the error's class and
+    message."""
+    try:
+        r = f(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    columns = [" ".join(map(float.hex, c)) for c in zip(*r.samples)]
+    scalars = [r.max_abs_error, r.argmax_x, r.max_rel_error]
+    return "ErrorReport " + " | ".join(
+        columns + [repr(v) if v is None else float.hex(v) for v in scalars])
 
 
 def _arguments(points):
@@ -107,6 +125,11 @@ def records(seed: int = 1, draws: int = 200):
             yield "ml_oracle", f"{pair}, array({far!r})", outcome(ml.ml_oracle, params, np.array(far))
             for x in far:
                 yield "ml_oracle", f"{pair}, {x!r} again", outcome(ml.ml_oracle, params, x)
+            yield "error_scan", f"{pair}, {SCAN_GRID}", report_outcome(ml.error_scan, params, SCAN_GRID)
+            top = ml.ml_oracle(params, 0.0)
+            y_grid = ml.GridSpec(1e-3 * top, top, 8)
+            yield "inverse_error_scan", f"{pair}, {y_grid}", report_outcome(
+                ml.inverse_error_scan, params, y_grid)
             try:
                 approx = ml.build_approx(params)
             except ml.ConstructionError:

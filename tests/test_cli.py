@@ -117,6 +117,18 @@ def test_ode_relaxation_runs(tmp_path):
     assert csv.read_bytes().startswith(b"t,pade,exact,abs_error\n")
 
 
+@pytest.mark.parametrize("args", [
+    ("scan", "--alpha", "0.5", "--beta", "1", "--points", "20"),
+    ("ode", "--relaxation", "--alpha", "0.5", "--t-grid", "0.1:10:5"),
+], ids=["scan", "ode"])
+def test_unwritable_csv_path_is_a_usage_error(tmp_path, args):
+    path = tmp_path / "missing" / "out.csv"
+    r = run(*args, "--csv", str(path))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"mlpade: cannot write CSV to {path}: No such file or directory\n"
+
+
 def test_ode_two_term_requires_beta():
     r = run("ode", "--two-term", "--alpha", "0.25", "--t-grid", "0.1:10:5")
     assert r.returncode == 3

@@ -9,6 +9,7 @@ import mlpade.harness as harness
 from mlpade import (
     DEFAULT_GRID,
     DomainError,
+    ErrorReport,
     GridSpec,
     NonConvergenceError,
     build_approx,
@@ -137,6 +138,53 @@ def test_summary_format():
     assert float(fields[3]) == report.argmax_x
     with pytest.raises(DomainError):
         emit_report(report, "json")
+
+
+def _reports():
+    return [error_scan(classify(0.3, 0.9), SMALL_GRID),
+            inverse_error_scan(classify(0.5, 1.5), GridSpec(1e-3, 1.0, 5))]
+
+
+def test_report_columns_are_read_only_float64_arrays():
+    for report in _reports():
+        assert len(report.columns) == 4
+        for column in report.columns:
+            assert type(column) is np.ndarray and column.dtype == np.float64
+            assert column.shape == (len(report.samples),)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        assert report.samples == list(zip(*(c.tolist() for c in report.columns)))
+
+
+def test_report_samples_are_built_once():
+    for report in _reports():
+        assert report.samples is report.samples
+
+
+def test_csv_is_the_samples_in_shortest_form():
+    forward, inverse = _reports()
+    for report, header in [(forward, "x,approx,oracle,abs_error"),
+                           (inverse, "y,x_approx,x_true,abs_error")]:
+        want = "\n".join([header] + [",".join(map(format_shortest, row))
+                                     for row in report.samples]) + "\n"
+        assert emit_report(report, "csv") == want.encode("ascii")
+        assert emit_report(report, "csv") == harness._csv(header, zip(*report.samples))
+
+
+def test_reports_compare_by_value():
+    params = classify(0.3, 0.9)
+    a, b = error_scan(params, SMALL_GRID), error_scan(params, SMALL_GRID)
+    assert a == b and a.columns[2] is not b.columns[2]
+    assert inverse_error_scan(classify(0.5, 1.5), GridSpec(1e-3, 1.0, 5)) == _reports()[1]
+    assert repr(a) == repr(b) and "columns" not in repr(a)
+    for j in range(4):
+        changed = list(a.columns)
+        changed[j] = changed[j].copy()
+        changed[j][-1] = math.nextafter(changed[j][-1], math.inf)
+        assert a != ErrorReport(a.params, a.grid, a.max_abs_error, a.argmax_x, tuple(changed))
+    assert a != error_scan(params, CROSSOVER_GRID)
+    assert a != _reports()[1]
 
 
 def test_grid_refinement_never_loses_error():

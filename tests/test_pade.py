@@ -18,7 +18,7 @@ from mlpade import (
     ml_oracle,
 )
 from mlpade.params import _PAIR_MEMO_SIZE
-from mlpade.reference import _series_table
+from mlpade.reference import _pair_table
 from mlpade.special import gamma, rgamma
 from paper_formulas import coeffs_from_closed_form, solve_hermite_pade
 
@@ -351,11 +351,13 @@ def test_failed_construction_is_not_memoised(a, b):
 
 @pytest.mark.parametrize("memo, fill", [
     (build_approx, build_approx),
-    (_series_table, lambda params: ml_oracle(params, 1e4)),  # the series' coefficient tables
-], ids=["build_approx", "series_table"])
+    (_pair_table, lambda params: ml_oracle(params, 1e4)),  # the series' coefficient tables
+    (_pair_table, lambda params: ml_oracle(params, 1.0)),  # the contour's node vectors
+], ids=["build_approx", "series_table", "contour_nodes"])
 def test_per_pair_memo_is_bounded(memo, fill):
     bound = memo.cache_info().maxsize
     assert bound == _PAIR_MEMO_SIZE
+    memo.cache_clear()  # so that the fill alone must bring the memo to its bound
     for k in range(bound + 50):
         fill(classify(0.5, 2.0 + k / 64.0))
         assert memo.cache_info().currsize <= bound

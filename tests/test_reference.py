@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import mlpade
 from mlpade import DomainError, NonConvergenceError, classify, ml_oracle
 from mlpade.params import _PAIR_MEMO_SIZE
-from mlpade.reference import _series_table, ml_asymptotic, ml_closed_form, ml_taylor
+from mlpade.reference import _pair_table, ml_asymptotic, ml_closed_form, ml_taylor
 from mlpade.special import erfcx, rgamma
 from talbot_reference import ml_talbot
 
@@ -360,13 +360,13 @@ def test_series_values_do_not_depend_on_call_history(case):
     if (a, b) in CLOSED_FORM_PAIRS:
         return
     want = _bits(_series_one_pass(a, b, xs))
-    _series_table.cache_clear()
+    _pair_table.cache_clear()
     assert _bits(ml_oracle(params, xs)) == want  # cold
     for grow in (np.sort(xs)[[xs.size // 2]], 40.0**a * np.geomspace(1.0, 1e14, 9)):
-        _series_table.cache_clear()
+        _pair_table.cache_clear()
         ml_oracle(params, grow)  # a narrower, then a wider call first
         assert _bits(ml_oracle(params, xs)) == want
-    _series_table.cache_clear()
+    _pair_table.cache_clear()
     floats = {x: ml_oracle(params, x) for x in sorted(xs.tolist(), reverse=True)}
     assert _bits([floats[x] for x in xs.tolist()]) == want  # largest x first
     assert _bits(ml_oracle(params, xs)) == want
@@ -386,7 +386,7 @@ def test_series_table_extended_by_threads_at_once():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(50):
-            _series_table.cache_clear()
+            _pair_table.cache_clear()
             got, start = {}, threading.Barrier(8)
 
             def work(order):
