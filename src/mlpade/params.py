@@ -18,11 +18,11 @@ from .errors import DomainError, ParameterDomainError
 
 __all__ = ["Regime", "MLParams", "classify", "convert", "argument"]
 
-# the bound of each per-pair memo (build_approx's approximants, the asymptotic
-# series' coefficient tables): a caller evaluates, inverts or scans one pair
-# many times, and each entry depends on (alpha, beta) alone. Scans of 93
-# pairs in turn never hit a memo of 32. An entry in both memos takes about
-# 2 KB: 128 scanned pairs, with series tables of 18 to 104 terms, held 264 KB
+# the bound of each per-pair memo (build_approx's approximants, the oracle's
+# pair entries): a caller evaluates, inverts or scans one pair many times, and
+# each entry depends on (alpha, beta) alone. Scans of 93 pairs in turn never
+# hit a memo of 32. An entry in both memos takes about 2 KB: 128 scanned
+# pairs, with series tables of 18 to 104 terms, held 264 KB
 _PAIR_MEMO_SIZE = 128
 
 

@@ -30,12 +30,13 @@ error <= 1e-6 beyond it.
 An array is evaluated in one pass, each entry equal to the float call bit for
 bit. Each closed form is one expression of a float or an array, built from
 `special.piecewise` and `special.libm`, so each of its thresholds is written
-once. The series and the contour are each one array kernel, of which a float
-argument is the one-entry case. Each kernel's x-independent part is kept per
-pair, in one memo of the last 128 pairs: the series' coefficients, built as
-calls need more terms, so that no value depends on the calls before it, and
-the integrand's two powers of u on the contour's nodes, built on the pair's
-first contour call.
+once. Any other pair has its own oracle, an entry of a memo of the last 128
+pairs that holds 40**alpha, 1/Gamma(beta), the route and two array kernels,
+the series and the contour, of which a float is the one-entry case. Each
+kernel keeps its x-independent part in the entry: the series' coefficients,
+rebuilt from the first term when a call needs more terms than the table
+holds, so that no value depends on the calls before it, and the integrand's
+two powers of u on the contour's nodes, built on the first contour call.
 
 `ml_taylor`, a plain double-precision Taylor sum for small x, is not used by
 the oracle; it remains as an independent check of the closed forms.
@@ -43,7 +44,6 @@ the oracle; it remains as an independent check of the closed forms.
 
 import functools
 import math
-import threading
 
 import numpy as np
 
@@ -122,77 +122,130 @@ def ml_taylor(params: MLParams, x: float) -> float:
     )
 
 
-class _PairTable:
-    """The x-independent parts of the oracle's two kernels for one
-    (alpha, beta), each built when a call first needs it.
+class _PairOracle:
+    """The oracle of one (alpha, beta): its route, called on a checked float
+    or 1-D array, and its two kernels with their x-independent parts.
 
-    `table`, for `_series`, is built as far as calls have needed it: one
+    `table`, for `series`, is built as far as calls have needed it: one
     read-only array whose column k holds term k's coefficient and the running
     bounds `rise` and -`fall` after term k; column 0, the term k = 0 with
     coefficient 0, holds rise = -inf and fall = inf, which end no entry.
-    `nodes`, for `_ml_contour`, holds u^(alpha-beta) and u^alpha on the
-    contour's nodes."""
+    `nodes`, for `contour`, holds u^(alpha-beta) and u^alpha on the contour's
+    nodes."""
 
     table = np.array([[0.0], [-math.inf], [-math.inf]])  # until the first `cover`
     table.flags.writeable = False
 
     def __init__(self, alpha: float, beta: float):
         self.alpha, self.beta = alpha, beta
-        # k, k1, log_c1, e_prev, rise and fall as `cover` names them
-        self.state = (0, 0, 0.0, 0.0, -math.inf, math.inf)
-        self.lock = threading.Lock()
+        self.cutoff = _ASYM_CUTOFF**alpha
+        self.origin = rgamma(beta)
+
+    def __call__(self, x):
+        # a float takes its path directly: the array bookkeeping below would
+        # double the cost of a contour point
+        if type(x) is float:
+            if x == 0.0:
+                return self.origin
+            kernel = self.series if x >= self.cutoff else self.contour
+            return float(kernel(np.array([x]))[0])
+        out = np.full(x.shape, self.origin)
+        far = x >= self.cutoff
+        near = (x > 0.0) & ~far
+        if far.any():
+            out[far] = self.series(x[far])
+        if near.any():
+            out[near] = self.contour(x[near])
+        return out
 
     def cover(self, l_lo: float, l_hi: float) -> np.ndarray:
-        """The table, its loop over k resumed until max(rise, l_lo) >
+        """The table, built from its first term until max(rise, l_lo) >
         min(fall, l_hi), when each entry with l in [l_lo, l_hi] has ended its
         sum, or to 400 terms; then published in one assignment."""
-        with self.lock:
-            table, alpha, beta = self.table, self.alpha, self.beta
-            k, k1, log_c1, e_prev, rise, fall = self.state  # k1: the first nonzero term
-            new = []
-            lgamma, gamma, sin, pi = math.lgamma, math.gamma, math.sin, math.pi
-            while rise <= fall and rise <= l_hi and l_lo <= fall and k < _MAX_TERMS:
-                k += 1
-                z = beta - alpha * k
-                if z >= 0.5:
-                    e = -lgamma(z)
-                    c = 1.0 / gamma(z) if z <= _GAMMA_MAX_ARG else 0.0
-                    if k % 2 == 0:
-                        c = -c
-                else:
-                    # 1/Gamma(z) = Gamma(1 - z) sin(pi z) / pi, exactly 0 at the poles
-                    w = 1.0 - z
-                    m = round(z)
-                    e = lgamma(w) - _LN_PI
-                    c = (gamma(w) if w <= _GAMMA_MAX_ARG else math.inf) * sin(pi * (z - m)) / pi
-                    if (m + k) % 2 == 0:
-                        c = -c
-                bound = (e - _LN_TINY) / k  # the envelope underflows for l above it
-                if k > 1 and e - e_prev - 1e-9 > rise:
-                    rise = e - e_prev - 1e-9
-                if k1 and (e - log_c1 + 42.0) / (k - k1) < bound:
-                    bound = (e - log_c1 + 42.0) / (k - k1)
-                if bound < fall:
-                    fall = bound
-                if not math.isfinite(c):
-                    fall = -math.inf
-                elif not k1 and c:
-                    k1, log_c1 = k, math.log(abs(c))
-                e_prev = e
-                new += c, rise, -fall
-            self.state = k, k1, log_c1, e_prev, rise, fall
-            if new:
-                table = np.concatenate((table, np.array(new, np.float64).reshape(-1, 3).T), axis=1)
-                table.flags.writeable = False
-                self.table = table
-            return table
+        alpha, beta = self.alpha, self.beta
+        k = k1 = 0  # k1: the first nonzero term
+        log_c1 = e_prev = 0.0
+        rise, fall = -math.inf, math.inf
+        columns = [0.0, rise, -fall]
+        lgamma, gamma, sin, pi = math.lgamma, math.gamma, math.sin, math.pi
+        while rise <= fall and rise <= l_hi and l_lo <= fall and k < _MAX_TERMS:
+            k += 1
+            z = beta - alpha * k
+            if z >= 0.5:
+                e = -lgamma(z)
+                c = 1.0 / gamma(z) if z <= _GAMMA_MAX_ARG else 0.0
+                if k % 2 == 0:
+                    c = -c
+            else:
+                # 1/Gamma(z) = Gamma(1 - z) sin(pi z) / pi, exactly 0 at the poles
+                w = 1.0 - z
+                m = round(z)
+                e = lgamma(w) - _LN_PI
+                c = (gamma(w) if w <= _GAMMA_MAX_ARG else math.inf) * sin(pi * (z - m)) / pi
+                if (m + k) % 2 == 0:
+                    c = -c
+            bound = (e - _LN_TINY) / k  # the envelope underflows for l above it
+            if k > 1 and e - e_prev - 1e-9 > rise:
+                rise = e - e_prev - 1e-9
+            if k1 and (e - log_c1 + 42.0) / (k - k1) < bound:
+                bound = (e - log_c1 + 42.0) / (k - k1)
+            if bound < fall:
+                fall = bound
+            if not math.isfinite(c):
+                fall = -math.inf
+            elif not k1 and c:
+                k1, log_c1 = k, math.log(abs(c))
+            e_prev = e
+            columns += c, rise, -fall
+        table = np.array(columns).reshape(-1, 3).T
+        table.flags.writeable = False
+        self.table = table
+        return table
+
+    def series(self, x: np.ndarray) -> np.ndarray:
+        """-sum_{k>=1} (-x)^{-k} / Gamma(beta - alpha*k) at every entry of x > 0.
+
+        With l = ln(x), term k's log-magnitude envelope is e_k - k*l, where e_k
+        is -lgamma(z) for z = beta - alpha*k >= 1/2 and lgamma(1 - z) - ln(pi)
+        below (the reflection formula without its sin factor). An entry's sum
+        ends before the first term whose envelope rises (by more than 1e-9),
+        falls 42 below the log-magnitude of the first nonzero term (e^-42 is
+        below a double's resolution) or below the smallest double, or whose
+        coefficient is not finite, and after 400 terms at most. The rise ends
+        every entry with l below a running bound, the falls every entry with l
+        above another, so an entry's term count is the last term before l
+        leaves the bounds. The coefficients and bounds depend on the pair
+        alone: the table is rebuilt, longer, only when an entry runs off its
+        end, and a call sums with the table it was handed.
+        """
+        ls = np.log(x)
+        table = self.table
+        built = table.shape[1] - 1  # the terms in the table
+        if built:
+            n_terms, n_max = _term_counts(table, ls)
+        if not built or n_max == built < _MAX_TERMS:  # an entry may need more terms
+            table = self.cover(float(ls.min()), float(ls.max()))
+            n_terms, n_max = _term_counts(table, ls)
+        # partial[:, j] sums terms 1..j
+        k = np.arange(n_max + 1.0)
+        partial = np.cumsum(table[0, :k.size] * x[:, None] ** -k, axis=1)
+        return partial[np.arange(x.size), n_terms]
 
     @functools.cached_property
     def nodes(self) -> tuple:
         return np.exp((self.alpha - self.beta) * _LOG_U), np.exp(self.alpha * _LOG_U)
 
+    def contour(self, x: np.ndarray) -> np.ndarray:
+        """E_{alpha,beta}(-x) by the Talbot contour integral at every entry of
+        x; for x**(1/alpha) < 40."""
+        num, den = self.nodes
+        g = num / (den + x[:, None])
+        # each row summed on its own, in one fixed order, so that an entry does not
+        # depend on the rows around it; a matrix product (BLAS) would not ensure it
+        return np.einsum("ij,j->i", g, _WEIGHTS).real
 
-_pair_table = functools.lru_cache(maxsize=_PAIR_MEMO_SIZE)(_PairTable)
+
+_pair_table = functools.lru_cache(maxsize=_PAIR_MEMO_SIZE)(_PairOracle)
 
 
 def _term_counts(table: np.ndarray, ls: np.ndarray):
@@ -201,44 +254,17 @@ def _term_counts(table: np.ndarray, ls: np.ndarray):
     return n, n.max()
 
 
-def _series(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """-sum_{k>=1} (-x)^{-k} / Gamma(beta - alpha*k) at every entry of x > 0.
-
-    With l = ln(x), term k's log-magnitude envelope is e_k - k*l, where e_k is
-    -lgamma(z) for z = beta - alpha*k >= 1/2 and lgamma(1 - z) - ln(pi) below
-    (the reflection formula without its sin factor). An entry's sum ends
-    before the first term whose envelope rises (by more than 1e-9), falls 42
-    below the log-magnitude of the first nonzero term (e^-42 is below a
-    double's resolution) or below the smallest double, or whose coefficient
-    is not finite, and after 400 terms at most. The rise ends every entry with
-    l below a running bound, the falls every entry with l above another, so an
-    entry's term count is the last term before l leaves the bounds. The
-    coefficients and bounds depend on the pair alone: they are built once per
-    pair, and a call resumes the pass over k when an entry needs more terms.
-    """
-    ls = np.log(x)
-    entry = _pair_table(alpha, beta)
-    table = entry.table
-    built = table.shape[1] - 1  # the terms in the table
-    if built:
-        n_terms, n_max = _term_counts(table, ls)
-    if not built or n_max == built < _MAX_TERMS:  # an entry may need more terms
-        table = entry.cover(float(ls.min()), float(ls.max()))
-        n_terms, n_max = _term_counts(table, ls)
-    # partial[:, j] sums terms 1..j
-    k = np.arange(n_max + 1.0)
-    partial = np.cumsum(table[0, :k.size] * x[:, None] ** -k, axis=1)
-    return partial[np.arange(x.size), n_terms]
-
-
 def ml_asymptotic(params: MLParams, x: float) -> float:
     """Algebraic large-x series -sum_{k>=1} (-x)^{-k} / Gamma(beta - alpha*k),
-    truncated at the smallest term of its magnitude envelope.
+    truncated at the smallest term of its magnitude envelope: the oracle's
+    series, for every pair. Raises DomainError below its crossover 40**alpha.
     """
     x = argument(x, "ml_asymptotic", array=False)
-    if x == 0.0:
-        raise DomainError(f"ml_asymptotic requires x > 0, got {x!r}")
-    return float(_series(params.alpha, params.beta, np.array([x]))[0])
+    entry = _pair_table(*params)
+    if x < entry.cutoff:
+        raise DomainError(
+            f"ml_asymptotic requires x >= the crossover 40**alpha = {entry.cutoff!r}, got {x!r}")
+    return entry(x)
 
 
 def _exp_neg(x):
@@ -298,39 +324,10 @@ def ml_closed_form(params: MLParams, x: float) -> float | None:
     return None if closed is None else closed(x)
 
 
-def _ml_contour(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(-x) by the Talbot contour integral at every entry of x;
-    for x**(1/alpha) < 40."""
-    num, den = _pair_table(alpha, beta).nodes
-    g = num / (den + x[:, None])
-    # each row summed on its own, in one fixed order, so that an entry does not
-    # depend on the rows around it; a matrix product (BLAS) would not ensure it
-    return np.einsum("ij,j->i", g, _WEIGHTS).real
-
-
 def ml_oracle(params: MLParams, x):
     """Reference value of E_{alpha,beta}(-x) at x >= 0, a float or a 1-D array:
     closed form where one exists, 1/Gamma(beta) at x = 0, the asymptotic
     series once x**(1/alpha) >= 40, else the contour integral."""
     # a valid float, the common case, skips the call that checks and converts
     x = x if type(x) is float and 0.0 <= x < math.inf else argument(x, "ml_oracle")
-    closed = _CLOSED_FORMS.get(params)
-    if closed is not None:
-        return closed(x)
-    alpha, beta = params.alpha, params.beta
-    cutoff = _ASYM_CUTOFF**alpha
-    # a float takes its path directly: the array bookkeeping below would
-    # double the cost of a contour point
-    if type(x) is float:
-        if x == 0.0:
-            return rgamma(beta)
-        kernel = _series if x >= cutoff else _ml_contour
-        return float(kernel(alpha, beta, np.array([x]))[0])
-    out = np.full(x.shape, rgamma(beta))
-    far = x >= cutoff
-    near = (x > 0.0) & ~far
-    if far.any():
-        out[far] = _series(alpha, beta, x[far])
-    if near.any():
-        out[near] = _ml_contour(alpha, beta, x[near])
-    return out
+    return (_CLOSED_FORMS.get(params) or _pair_table(*params))(x)

@@ -6,8 +6,9 @@ bit.
     diff parent.txt change.txt
 
 Each line is `op <TAB> args <TAB> outcome`: the outcome is the result's type
-name and `float.hex` (one per entry for an array), or the exception's class
-name and message. The sweep covers each float entry point, each kind of
+name and `float.hex` (one per entry for an array; `NoneType None` for None),
+or the exception's class name and message. The sweep covers each float entry
+point and the oracle's three one-point views in `mlpade.reference`, each kind of
 argument (float, np.float64, np.float32, 0-d array, 1-D array, list, str),
 the edges of the admission tests (0, -0, subnormals, the smallest normal and
 its neighbour, 1e100 and its successor, 1e300, the largest double, +-inf,
@@ -16,8 +17,8 @@ relaxation prefactors, valid and not, and each pair's `error_scan` and
 `inverse_error_scan` reports on small grids. Each pair's points past the
 oracle's crossover x**(1/alpha) = 40 are then recorded again, as one array and as
 floats from the largest down, so that a value which depended on the calls
-before it would show. Only public names are used, so the one
-file records any checkout. Its name keeps it out of pytest's collection;
+before it would show. Only public names and the one-point views are used, so
+the one file records any checkout. Its name keeps it out of pytest's collection;
 `tests/test_public_api.py` records a small sample in-process.
 """
 
@@ -29,6 +30,7 @@ import warnings
 import numpy as np
 
 import mlpade as ml
+import mlpade.reference
 
 ENTRY_POINTS = (
     "error_scan",
@@ -42,6 +44,8 @@ ENTRY_POINTS = (
     "two_term_exact",
     "two_term_pade",
 )
+# the oracle's one-point views, imported from mlpade.reference
+ONE_POINT_VIEWS = ("ml_asymptotic", "ml_closed_form", "ml_taylor")
 
 PAIRS = [
     (0.5, 1.5), (0.5, 1.0), (0.5, 0.5), (1.0, 2.0), (1.0, 1.0), (1.0, 1.0000001),
@@ -75,6 +79,8 @@ def outcome(f, *args) -> str:
         v = f(*args)
     except Exception as exc:  # the record is the error's class and message
         return f"{type(exc).__name__}: {exc}"
+    if v is None:
+        return "NoneType None"
     if isinstance(v, np.ndarray):
         return "ndarray " + " ".join(map(float.hex, v.tolist()))
     return f"{type(v).__name__} {float(v).hex()}"
@@ -125,6 +131,10 @@ def records(seed: int = 1, draws: int = 200):
             yield "ml_oracle", f"{pair}, array({far!r})", outcome(ml.ml_oracle, params, np.array(far))
             for x in far:
                 yield "ml_oracle", f"{pair}, {x!r} again", outcome(ml.ml_oracle, params, x)
+            for view in ONE_POINT_VIEWS:
+                f = getattr(mlpade.reference, view)
+                for x in _arguments(xs):
+                    yield view, f"{pair}, {x!r}", outcome(f, params, x)
             yield "error_scan", f"{pair}, {SCAN_GRID}", report_outcome(ml.error_scan, params, SCAN_GRID)
             top = ml.ml_oracle(params, 0.0)
             y_grid = ml.GridSpec(1e-3 * top, top, 8)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import mpmath
 import numpy as np
@@ -13,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlpade
-from mlpade import DomainError, NonConvergenceError, classify, ml_oracle
+from mlpade import DEFAULT_GRID, DomainError, NonConvergenceError, classify, ml_oracle
 from mlpade.params import _PAIR_MEMO_SIZE
-from mlpade.reference import _pair_table, ml_asymptotic, ml_closed_form, ml_taylor
+from mlpade.reference import _CLOSED_FORMS, _pair_table, ml_asymptotic, ml_closed_form, ml_taylor
 from mlpade.special import erfcx, rgamma
 from talbot_reference import ml_talbot
 
@@ -134,6 +135,40 @@ def test_asymptotic_diagonal_pole_kills_first_term():
 def test_asymptotic_requires_positive_x():
     with pytest.raises(DomainError):
         ml_asymptotic(classify(0.5, 1.5), 0.0)
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 1.5), (0.3, 0.9), (0.05, 0.7), (1.0, 1.0)])
+@pytest.mark.parametrize("where", ["5e-324", "1e-310", "1e-300", "1", "below"])
+def test_asymptotic_refuses_x_below_the_crossover(a, b, where):
+    # below the crossover the series is not the oracle's route: its first
+    # term 1/(x Gamma(b - a)) overflows at subnormal x and passes 1/Gamma(b)
+    # elsewhere, so the view refuses such x
+    params = classify(a, b)
+    cut = 40.0**a
+    x = math.nextafter(cut, 0.0) if where == "below" else float(where)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^ml_asymptotic requires x >= the crossover 40\*\*alpha = "):
+            ml_asymptotic(params, x)
+        got = ml_asymptotic(params, cut)
+    assert math.isfinite(got)
+    if (a, b) not in CLOSED_FORM_PAIRS:
+        assert got == ml_oracle(params, cut)
+
+
+@pytest.mark.parametrize("a,b", CLOSED_FORM_PAIRS)
+def test_closed_forms_match_the_general_route(a, b):
+    # the contour and the series, which the oracle uses for every other pair,
+    # held to the oracle's targets: 1e-10 absolute below x**(1/a) = 40, 1e-6
+    # relative beyond. Past it (1, 1)'s coefficients 1/Gamma(1 - k) are all
+    # 0, so the series gives 0 for exp(-x) < 4.3e-18: (1, 1) is checked below
+    xs = DEFAULT_GRID.array
+    closed, route = _CLOSED_FORMS[a, b](xs), _pair_table(a, b)(xs)
+    below = xs < 40.0**a
+    assert np.all(np.abs(route - closed)[below] <= 1e-10)
+    if (a, b) != (1.0, 1.0):
+        assert below.sum() < xs.size
+        assert np.all(np.abs(route - closed)[~below] <= 1e-6 * np.abs(closed[~below]))
 
 
 def test_oracle_positive_and_nonincreasing():
@@ -298,8 +333,8 @@ def test_asymptotic_diagonal_far_past_crossover_matches_reference(a, x):
 
 def _series_one_pass(alpha, beta, x):
     """The series as one pass over k per call, with the stop rules of
-    `reference._series` and no table kept between calls: the reference that
-    the memoised tables must reproduce bit for bit."""
+    `reference._PairOracle.series` and no table kept between calls: the
+    reference that the memoised tables must reproduce bit for bit."""
     order = np.argsort(x)
     ls = np.log(x[order]).tolist()
     lo, hi = 0, len(ls) - 1
@@ -373,6 +408,29 @@ def test_series_values_do_not_depend_on_call_history(case):
     for k in range(_PAIR_MEMO_SIZE):  # evicts the pair
         ml_oracle(classify(0.5, 2.0 + k / 64.0), 1e4)
     assert _bits([ml_oracle(params, x) for x in xs.tolist()]) == want
+
+
+def _pair_lookups():
+    info = _pair_table.cache_info()
+    return info.hits + info.misses
+
+
+@pytest.mark.parametrize(
+    "x", [0.0, 0.5, 1e4, np.array([1e4, 0.0, 0.5, 2.0, 1e3])],
+    ids=["origin", "contour", "series", "array"],
+)
+def test_one_oracle_call_is_one_pair_lookup(x):
+    # the pair's memo entry holds the route and both kernels, so a call looks
+    # the pair up once, on a miss and on a hit alike; a closed form never
+    params = classify(0.3, 0.9)
+    _pair_table.cache_clear()
+    for _ in range(2):
+        before = _pair_lookups()
+        ml_oracle(params, x)
+        assert _pair_lookups() == before + 1
+    before = _pair_lookups()
+    ml_oracle(classify(0.5, 1.0), x)
+    assert _pair_lookups() == before
 
 
 def test_series_table_extended_by_threads_at_once():
