@@ -117,7 +117,7 @@ def _report(params, grid, columns, max_rel_error=None) -> ErrorReport:
     point is the first entry of the largest abs_error."""
     for c in columns:
         c.flags.writeable = False
-    i = int(np.argmax(columns[3]))
+    i = int(columns[3].argmax())
     return ErrorReport(params, grid, float(columns[3][i]), float(columns[0][i]), columns, max_rel_error)
 
 
@@ -126,7 +126,8 @@ def error_scan(params: MLParams, grid: GridSpec = DEFAULT_GRID) -> ErrorReport:
     xs = grid.array
     approx = eval_approx(build_approx(params), xs)
     oracle = ml_oracle(params, xs)
-    return _report(params, grid, (xs, approx, oracle, np.abs(approx - oracle)))
+    err = approx - oracle
+    return _report(params, grid, (xs, approx, oracle, np.abs(err, out=err)))
 
 
 def _bisect_inverse(params, y):

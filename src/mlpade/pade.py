@@ -124,7 +124,7 @@ def eval_approx(approx: RationalApprox, x):
         if type(x) is float:
             if far:
                 return _rescaled(approx, x)
-        elif far.any():
+        elif np.count_nonzero(far):
             out = np.empty(x.shape)
             out[far] = _rescaled(approx, x[far])
             out[~far] = eval_approx(approx, x[~far])

@@ -106,7 +106,9 @@ def argument(x, op: str, *, array: bool = True, finite: bool = True):
             return x
         bad = x
     else:
-        if x.min(initial=0.0) >= 0.0 and (not finite or x.max(initial=0.0) < math.inf):
+        # the ufuncs' reduce, without ndarray.min's and max's Python frames; nan fails
+        lo, hi = np.minimum.reduce(x, initial=0.0), np.maximum.reduce(x, initial=0.0)
+        if lo >= 0.0 and (hi < math.inf or not finite):
             return x
         bad = float(x[~((x >= 0.0) & (np.isfinite(x) | (not finite)))][0])
     raise DomainError(f"{op} requires {'finite ' if finite else ''}x >= 0, got {bad!r}")

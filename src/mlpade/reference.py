@@ -32,11 +32,12 @@ bit. Each closed form is one expression of a float or an array, built from
 `special.piecewise` and `special.libm`, so each of its thresholds is written
 once. Any other pair has its own oracle, an entry of a memo of the last 128
 pairs that holds 40**alpha, 1/Gamma(beta), the route and two array kernels,
-the series and the contour, of which a float is the one-entry case. Each
-kernel keeps its x-independent part in the entry: the series' coefficients,
-rebuilt from the first term when a call needs more terms than the table
-holds, so that no value depends on the calls before it, and the integrand's
-two powers of u on the contour's nodes, built on the first contour call.
+the series, on the mask x >= 40**alpha, and the contour, on (x > 0) ^ that
+mask; a float is the one-entry case. Each kernel keeps its x-independent part
+in the entry: the series' coefficients, rebuilt from the first term when a
+call needs more terms than the table holds, so that no value depends on the
+calls before it, and the integrand's two powers of u on the contour's nodes,
+built on the first contour call. The series' exponents -k are one constant.
 
 `ml_taylor`, a plain double-precision Taylor sum for small x, is not used by
 the oracle; it remains as an independent check of the closed forms.
@@ -49,7 +50,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 from .params import _PAIR_MEMO_SIZE, MLParams, argument
-from .special import erfcx, erfcx_series_tail, libm, piecewise, rgamma
+from .special import _erfcx, erfcx_series_tail, libm, piecewise, rgamma
 
 __all__ = [
     "ml_taylor",
@@ -69,6 +70,7 @@ _LN_TINY = -745.0
 # accurate to ~1e-15 relative, and below which the contour is used
 _ASYM_CUTOFF = 40.0
 _MAX_TERMS = 400
+_NEG_K = -np.arange(_MAX_TERMS + 1.0)  # the series' exponents -k, k = 0..400
 # largest Taylor term the double-precision sum accepts, so that rounding in
 # the alternating series' cancellation stays near 1e-13 absolute
 _TAYLOR_TERM_LIMIT = math.exp(7.0)
@@ -124,14 +126,15 @@ def ml_taylor(params: MLParams, x: float) -> float:
 
 class _PairOracle:
     """The oracle of one (alpha, beta): its route, called on a checked float
-    or 1-D array, and its two kernels with their x-independent parts.
+    or 1-D array, and its two kernels with their x-independent parts. An
+    array's entries x >= 40**alpha go to `series`, (x > 0) ^ those to `contour`.
 
     `table`, for `series`, is built as far as calls have needed it: one
     read-only array whose column k holds term k's coefficient and the running
     bounds `rise` and -`fall` after term k; column 0, the term k = 0 with
     coefficient 0, holds rise = -inf and fall = inf, which end no entry.
     `nodes`, for `contour`, holds u^(alpha-beta) and u^alpha on the contour's
-    nodes."""
+    nodes. `series` takes its exponents -k from the constant `_NEG_K`."""
 
     table = np.array([[0.0], [-math.inf], [-math.inf]])  # until the first `cover`
     table.flags.writeable = False
@@ -142,8 +145,7 @@ class _PairOracle:
         self.origin = rgamma(beta)
 
     def __call__(self, x):
-        # a float takes its path directly: the array bookkeeping below would
-        # double the cost of a contour point
+        # a float skips the masks below, which would double a contour point's cost
         if type(x) is float:
             if x == 0.0:
                 return self.origin
@@ -151,10 +153,10 @@ class _PairOracle:
             return float(kernel(np.array([x]))[0])
         out = np.full(x.shape, self.origin)
         far = x >= self.cutoff
-        near = (x > 0.0) & ~far
-        if far.any():
+        near = (x > 0.0) ^ far  # the cutoff 40**alpha >= 1, so far lies in x > 0
+        if np.count_nonzero(far):
             out[far] = self.series(x[far])
-        if near.any():
+        if np.count_nonzero(near):
             out[near] = self.contour(x[near])
         return out
 
@@ -220,15 +222,13 @@ class _PairOracle:
         """
         ls = np.log(x)
         table = self.table
-        built = table.shape[1] - 1  # the terms in the table
-        if built:
-            n_terms, n_max = _term_counts(table, ls)
-        if not built or n_max == built < _MAX_TERMS:  # an entry may need more terms
+        n_terms, n_max = _term_counts(table, ls)
+        if n_max == table.shape[1] - 1 < _MAX_TERMS:  # an entry may need more terms
             table = self.cover(float(ls.min()), float(ls.max()))
             n_terms, n_max = _term_counts(table, ls)
-        # partial[:, j] sums terms 1..j
-        k = np.arange(n_max + 1.0)
-        partial = np.cumsum(table[0, :k.size] * x[:, None] ** -k, axis=1)
+        # partial[:, j] sums terms 1..j in order: np.cumsum's adds, without its wrapper
+        k = n_max + 1
+        partial = np.add.accumulate(table[0, :k] * x[:, None] ** _NEG_K[:k], axis=1)
         return partial[np.arange(x.size), n_terms]
 
     @functools.cached_property
@@ -251,19 +251,22 @@ _pair_table = functools.lru_cache(maxsize=_PAIR_MEMO_SIZE)(_PairOracle)
 def _term_counts(table: np.ndarray, ls: np.ndarray):
     """Each entry's term count by the table's bounds, and the largest."""
     n = np.minimum(table[1, 1:].searchsorted(ls, "right"), table[2, 1:].searchsorted(-ls, "right"))
-    return n, n.max()
+    return n, np.maximum.reduce(n)
 
 
 def ml_asymptotic(params: MLParams, x: float) -> float:
     """Algebraic large-x series -sum_{k>=1} (-x)^{-k} / Gamma(beta - alpha*k),
     truncated at the smallest term of its magnitude envelope: the oracle's
-    series, for every pair. Raises DomainError below its crossover 40**alpha.
-    """
+    series. Raises DomainError below its crossover 40**alpha, and at (1, 1),
+    where every term is 0."""
     x = argument(x, "ml_asymptotic", array=False)
     entry = _pair_table(*params)
     if x < entry.cutoff:
         raise DomainError(
             f"ml_asymptotic requires x >= the crossover 40**alpha = {entry.cutoff!r}, got {x!r}")
+    if params == (1.0, 1.0):  # every coefficient 1/Gamma(1 - k) is 0
+        raise DomainError("ml_asymptotic at (alpha, beta) = (1, 1): the algebraic series is "
+                          "identically zero, while E_{1,1}(-x) = exp(-x) > 0; use ml_oracle")
     return entry(x)
 
 
@@ -282,7 +285,7 @@ def _h32_near(x):
 
 
 def _h32_far(x):
-    return (1.0 - erfcx(x)) / x
+    return (1.0 - _erfcx(x)) / x
 
 
 def _half_half(x):
@@ -290,7 +293,7 @@ def _half_half(x):
 
 
 def _hh_near(x):
-    return _RGAMMA_HALF - x * erfcx(x)
+    return _RGAMMA_HALF - x * _erfcx(x)
 
 
 def _hh_far(x):
@@ -308,7 +311,7 @@ def _one_two_nonzero(x):
 
 # the pairs with an erfcx/exp closed form, each one expression of x
 _CLOSED_FORMS = {
-    (0.5, 1.0): erfcx,
+    (0.5, 1.0): _erfcx,
     (0.5, 1.5): _half_three_halves,
     (0.5, 0.5): _half_half,
     (1.0, 1.0): _exp_neg,

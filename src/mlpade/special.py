@@ -108,7 +108,11 @@ def erfcx(x):
     value at every entry. Below 26, exp of x^2 = xh^2 + (x - xh)(x + xh) split
     exactly (xh on 20 fractional bits, so xh^2 is exact); from 26 up, 8 terms
     of the asymptotic series in 1/(2x^2), whose 9th term is below 2e-19 there."""
-    x = argument(x, "erfcx", finite=False)
+    return _erfcx(argument(x, "erfcx", finite=False))
+
+
+def _erfcx(x):
+    # erfcx of a checked argument, for the closed forms
     return piecewise(x, [(x < 26.0, _erfcx_near)], _erfcx_far)
 
 

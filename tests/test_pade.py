@@ -1,6 +1,7 @@
 """Tests for approximant construction and evaluation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -299,14 +300,24 @@ def test_eval_array_exponential_regime_uses_math_exp():
     assert eval_approx(ap, xs).tolist() == [math.exp(-x) for x in xs.tolist()]
 
 
-@pytest.mark.parametrize("bad", [-1e-300, -2.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [-1e-300, -1.0, -2.0, math.nan, math.inf])
 def test_eval_array_rejects_bad_entries(bad):
-    ap = build_approx(classify(0.5, 1.5))
-    xs = np.array([0.0, 1.0, bad, 3.0])
-    with pytest.raises(DomainError, match="eval_approx requires finite x >= 0"):
-        eval_approx(ap, xs)
-    with pytest.raises(DomainError):
-        eval_approx(ap, bad)
+    # an array with a bad entry first, last or inside gets the float call's
+    # message, in the exponential regime too
+    for a, b in [(0.5, 1.5), (1.0, 1.0)]:
+        ap = build_approx(classify(a, b))
+        with pytest.raises(DomainError, match="^eval_approx requires finite x >= 0, got ") as float_call:
+            eval_approx(ap, bad)
+        for xs in ([bad, 1.0, 3.0], [0.0, 1.0, bad], [0.0, 1.0, bad, 3.0]):
+            with pytest.raises(DomainError, match=f"^{re.escape(str(float_call.value))}$"):
+                eval_approx(ap, np.array(xs))
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 1.5), (1.0, 1.0)])
+def test_eval_array_accepts_negative_zero(a, b):
+    ap = build_approx(classify(a, b))
+    xs = np.array([-0.0, 1.0, 2e100, -0.0])
+    assert eval_approx(ap, xs).tolist() == [eval_approx(ap, x) for x in xs.tolist()]
 
 
 def test_eval_array_shapes():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 import mlpade
 from mlpade import DEFAULT_GRID, DomainError, NonConvergenceError, classify, ml_oracle
 from mlpade.params import _PAIR_MEMO_SIZE
-from mlpade.reference import _CLOSED_FORMS, _pair_table, ml_asymptotic, ml_closed_form, ml_taylor
+from mlpade.reference import (
+    _CLOSED_FORMS, _MAX_TERMS, _NEG_K, _pair_table, _term_counts, ml_asymptotic, ml_closed_form, ml_taylor,
+)
 from mlpade.special import erfcx, rgamma
 from talbot_reference import ml_talbot
 
@@ -150,10 +153,24 @@ def test_asymptotic_refuses_x_below_the_crossover(a, b, where):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=r"^ml_asymptotic requires x >= the crossover 40\*\*alpha = "):
             ml_asymptotic(params, x)
+        if (a, b) == (1.0, 1.0):  # refused at the crossover too, see below
+            return
         got = ml_asymptotic(params, cut)
     assert math.isfinite(got)
     if (a, b) not in CLOSED_FORM_PAIRS:
         assert got == ml_oracle(params, cut)
+
+
+@pytest.mark.parametrize("x", [40.0, math.nextafter(40.0, math.inf), 100.0, 1e4, 1e300])
+def test_asymptotic_refuses_the_pure_exponential(x):
+    # at (1, 1) every coefficient 1/Gamma(1 - k) is 0, so the series would
+    # give 0 where E_{1,1}(-x) = exp(-x) is positive; the oracle is not affected
+    params = classify(1.0, 1.0)
+    with pytest.raises(DomainError, match=r"^ml_asymptotic at \(alpha, beta\) = \(1, 1\): "
+                       r"the algebraic series is identically zero.*; use ml_oracle$"):
+        ml_asymptotic(params, x)
+    assert ml_oracle(params, x) == math.exp(-x)
+    assert ml_asymptotic(classify(1.0, 2.0), x) == pytest.approx(-math.expm1(-x) / x, rel=1e-15)
 
 
 @pytest.mark.parametrize("a,b", CLOSED_FORM_PAIRS)
@@ -302,14 +319,35 @@ def test_oracle_float_like_scalar_gives_float(a, b, x):
         assert type(v) is float and v == ml_oracle(params, float(x))
 
 
-@pytest.mark.parametrize("bad", [-1e-300, -2.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [-1e-300, -1.0, -2.0, math.nan, math.inf])
 @pytest.mark.parametrize("a,b", [(0.3, 0.9), (0.5, 1.0)])
 def test_oracle_rejects_bad_entries(a, b, bad):
+    # an array with a bad entry alone, first or last gets the float call's message
     params = classify(a, b)
-    with pytest.raises(DomainError, match="ml_oracle requires finite x >= 0"):
-        ml_oracle(params, np.array([0.5, bad]))
-    with pytest.raises(DomainError, match="ml_oracle requires finite x >= 0"):
+    with pytest.raises(DomainError, match="^ml_oracle requires finite x >= 0, got ") as float_call:
         ml_oracle(params, bad)
+    for xs in ([bad], [bad, 0.5, 2e3], [0.5, 2e3, bad]):
+        with pytest.raises(DomainError, match=f"^{re.escape(str(float_call.value))}$"):
+            ml_oracle(params, np.array(xs))
+
+
+@pytest.mark.parametrize("a,b", [(0.3, 0.9), (0.5, 1.0)])
+def test_oracle_accepts_negative_zero(a, b):
+    params = classify(a, b)
+    xs = np.array([-0.0, 0.5, 2e3, -0.0])
+    assert ml_oracle(params, -0.0) == rgamma(b)
+    assert ml_oracle(params, xs).tolist() == [ml_oracle(params, x) for x in xs.tolist()]
+
+
+def test_series_array_at_the_full_exponent_row_matches_float_calls():
+    # at (0.05, 0.5) the crossover itself needs all 400 terms, so the array
+    # call takes the whole exponent row -k, k = 0..400
+    params = classify(0.05, 0.5)
+    entry = _pair_table(*params)
+    xs = entry.cutoff * np.array([1.0, 1.0 + 1e-12, 1.2, 3.0, 1e3])
+    got = ml_oracle(params, xs)
+    assert _term_counts(entry.table, np.log(xs))[1] == _MAX_TERMS == _NEG_K.size - 1
+    assert _bits(got) == _bits([ml_oracle(params, x) for x in xs.tolist()])
 
 
 @pytest.mark.parametrize("a,b,x,value", [(0.9, 45.0, 29.04, 3.908e-55), (0.5, 50.0, 6.64, 1.7375e-63)])
