@@ -80,9 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--two-term", action="store_true")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, help="two-term equation only")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=float)  # relaxation only, default 1
+    p.add_argument("--c1", type=float)  # relaxation only, default 1
+    p.add_argument("--c2", type=float)  # two-term only, default 0
     p.add_argument(
         "--t-grid",
         default="0.01:100:200",
@@ -100,10 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_eval(args) -> int:
     params = classify(args.alpha, args.beta)
-    if args.exact:
-        value = ml_oracle(params, args.x)
-    else:
-        value = eval_approx(build_approx(params), args.x)
+    value = ml_oracle(params, args.x) if args.exact else eval_approx(build_approx(params), args.x)
     print(format_shortest(value))
     return EXIT_OK
 
@@ -115,14 +112,20 @@ def _cmd_inverse(args) -> int:
 
 def _coeff_line(alpha: float, beta: float) -> str:
     ap = build_approx(classify(alpha, beta))
-    return (
-        f"n0={format_shortest(ap.n0)} n1={format_shortest(ap.n1)} "
-        f"d1={format_shortest(ap.d1)} d2={format_shortest(ap.d2)}"
-    )
+    return " ".join(f"{c}={format_shortest(getattr(ap, c))}" for c in ("n0", "n1", "d1", "d2"))
+
+
+def _refuse_given(options, scope: str) -> None:
+    """Refuse, not drop, an option the command does not take: DomainError
+    naming the first of `options`, (flag, value) pairs, that was given."""
+    for flag, value in options:
+        if value is not None:
+            raise DomainError(f"{flag} {scope}")
 
 
 def _cmd_coeffs(args) -> int:
     if args.table1:
+        _refuse_given([("--alpha", args.alpha), ("--beta", args.beta)], "does not apply to --table1")
         print("regime       alpha beta  coefficients of (n0+n1*x)/(1+d1*x+d2*x^2)")
         for alpha, beta in WORKED:
             regime = classify(alpha, beta).regime.value
@@ -170,19 +173,21 @@ def _parse_t_grid(text: str) -> list[float]:
 def _cmd_ode(args) -> int:
     ts = _parse_t_grid(args.t_grid)
     if args.relaxation:
-        spec = RelaxationSpec(args.alpha, args.lam, args.c1)
+        lam = 1.0 if args.lam is None else args.lam
+        spec = RelaxationSpec(args.alpha, lam, 1.0 if args.c1 is None else args.c1)
         prefactor = args.prefactor or "paper"
-        rows = [
-            (t, relaxation_pade(spec, t, prefactor), relaxation_exact(spec, t, prefactor=prefactor))
-            for t in ts
-        ]
+        rows = [(t, relaxation_pade(spec, t, prefactor), relaxation_exact(spec, t, prefactor))
+                for t in ts]
+        stray, owner = [("--beta", args.beta), ("--c2", args.c2)], "two-term"
     else:
         if args.beta is None:
             raise DomainError("--two-term requires --beta")
-        if args.prefactor is not None:
-            raise DomainError("--prefactor applies to the relaxation equation only")
-        spec = TwoTermSpec(args.alpha, args.beta, args.c2)
+        _refuse_given([("--prefactor", args.prefactor)], "applies to the relaxation equation only")
+        spec = TwoTermSpec(args.alpha, args.beta, 0.0 if args.c2 is None else args.c2)
         rows = [(t, two_term_pade(spec, t), two_term_exact(spec, t)) for t in ts]
+        stray, owner = [("--lambda", args.lam), ("--c1", args.c1)], "relaxation"
+    # refused after the solutions, so that a bad spec or a refused approximant keeps its message
+    _refuse_given(stray, f"applies to the {owner} equation only")
     rows = [(t, p, e, abs(p - e)) for t, p, e in rows]
     if args.csv and not _write_csv(args.csv, _csv("t,pade,exact,abs_error", zip(*rows))):
         return EXIT_USAGE

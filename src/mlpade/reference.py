@@ -163,7 +163,9 @@ class _PairOracle:
     def cover(self, l_lo: float, l_hi: float) -> np.ndarray:
         """The table, built from its first term until max(rise, l_lo) >
         min(fall, l_hi), when each entry with l in [l_lo, l_hi] has ended its
-        sum, or to 400 terms; then published in one assignment."""
+        sum, or to 400 terms; then published in one assignment. Sized by the
+        calls: a table for the whole series domain (median 88 terms) doubles a
+        fresh pair's first series call and adds half to a scalar oracle's p50."""
         alpha, beta = self.alpha, self.beta
         k = k1 = 0  # k1: the first nonzero term
         log_c1 = e_prev = 0.0

@@ -3,6 +3,7 @@ arguments, one line per call, so that two checkouts can be compared bit for
 bit.
 
     PYTHONPATH=<checkout>/src python tests/parity.py OUT [--seed N] [--draws N]
+    PYTHONPATH=<checkout>/src python tests/parity.py --cli OUT
     diff parent.txt change.txt
 
 Each line is `op <TAB> args <TAB> outcome`: the outcome is the result's type
@@ -20,11 +21,21 @@ floats from the largest down, so that a value which depended on the calls
 before it would show. Only public names and the one-point views are used, so
 the one file records any checkout. Its name keeps it out of pytest's collection;
 `tests/test_public_api.py` records a small sample in-process.
+
+`--cli OUT` records the command line instead: each command of `CLI_COMMANDS`
+runs as `python -m mlpade` with the imported package's `src` first on
+PYTHONPATH, in a fresh temporary directory, and its line is
+`cli <TAB> argv <TAB> outcome`: the exit code, then the escaped bytes of
+stdout, stderr and the file at `out.csv` (`None` where none was written).
 """
 
 import argparse
 import math
+import os
+import pathlib
+import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -170,18 +181,87 @@ def records(seed: int = 1, draws: int = 200):
                 yield "two_term_exact", args, outcome(ml.two_term_exact, spec, t)
 
 
+ODE_RELAX = ("ode", "--relaxation", "--alpha", "0.4", "--t-grid", "0.1:10:5")
+ODE_TWO = ("ode", "--two-term", "--alpha", "0.25", "--beta", "0.75", "--t-grid", "0.1:10:5")
+CLI_COMMANDS = [
+    # acceptance criterion 8
+    ("eval", "--alpha", "0.5", "--beta", "1.5", "--x", "3.7"),
+    ("eval", "--alpha", "0.3", "--beta", "0.9", "--x", "12", "--exact"),
+    ("inverse", "--alpha", "0.5", "--beta", "1", "--y", "0.25"),
+    ("coeffs", "--table1"),
+    ("scan", "--alpha", "0.5", "--beta", "1", "--points", "200", "--csv", "out.csv"),
+    ("ode", "--two-term", "--alpha", "0.25", "--beta", "0.75", "--t-grid", "0.1:10:30",
+     "--csv", "out.csv"),
+    ("selftest",),
+    # the oracle on the contour, on the series, in closed form and at x = 0
+    ("eval", "--alpha", "0.3", "--beta", "0.9", "--x", "2", "--exact"),
+    ("eval", "--alpha", "0.3", "--beta", "0.9", "--x", "1000", "--exact"),
+    ("eval", "--alpha", "0.5", "--beta", "1.5", "--x", "3", "--exact"),
+    ("eval", "--alpha", "0.3", "--beta", "0.9", "--x", "0", "--exact"),
+    ("eval", "--alpha", "0.3", "--beta", "0.9", "--x", "-1", "--exact"),
+    ("scan", "--alpha", "0.3", "--beta", "0.9", "--csv", "out.csv"),
+    ("ode", "--relaxation", "--alpha", "0.3", "--lambda", "1.5", "--c1", "0.7",
+     "--prefactor", "standard", "--csv", "out.csv"),
+    ODE_RELAX,
+    ODE_TWO,
+    ("coeffs", "--alpha", "0.3", "--beta", "0.9"),
+    ("ode", "--help"),
+    ("coeffs", "--help"),
+    # options an equation or --table1 does not take
+    ODE_RELAX + ("--beta", "0.9"),
+    ODE_RELAX + ("--beta", "nan"),
+    ODE_RELAX + ("--c2", "0.5"),
+    ODE_RELAX + ("--c2", "inf"),
+    ODE_TWO + ("--lambda", "7", "--c1", "9"),
+    ODE_TWO + ("--lambda", "nan"),
+    ODE_TWO + ("--c1", "2"),
+    ODE_TWO + ("--c1", "nan"),
+    ODE_TWO + ("--prefactor", "paper"),
+    ("coeffs", "--table1", "--alpha", "0.3", "--beta", "0.9"),
+    # ... with a second fault, which each command reports as before
+    ("ode", "--relaxation", "--alpha", "1.5", "--beta", "0.9", "--t-grid", "0.1:10:5"),
+    ("ode", "--relaxation", "--alpha", "0.8", "--c2", "1", "--t-grid", "0.1:10:5"),
+    ("ode", "--relaxation", "--alpha", "0.4", "--lambda", "nan", "--beta", "0.9"),
+    ODE_RELAX[:-1] + ("nonsense", "--c2", "1"),
+    ("ode", "--two-term", "--alpha", "0.25", "--lambda", "7"),
+    ("ode", "--two-term", "--alpha", "0.75", "--beta", "0.25", "--lambda", "7"),
+    ("ode", "--two-term", "--alpha", "0.25", "--beta", "0.75", "--c2", "nan", "--c1", "9"),
+    ODE_TWO + ("--prefactor", "paper", "--lambda", "7"),
+    ODE_RELAX + ("--beta", "0.9", "--csv", "missing/out.csv"),
+]
+
+
+def cli_records():
+    """("cli", argv, outcome) for each command of `CLI_COMMANDS`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mlpade.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in CLI_COMMANDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            r = subprocess.run([sys.executable, "-m", "mlpade", *argv], cwd=tmp, env=env,
+                               capture_output=True, timeout=300)
+            csv = pathlib.Path(tmp, "out.csv")
+            data = csv.read_bytes() if csv.exists() else None
+        yield "cli", " ".join(argv), f"exit {r.returncode} {r.stdout!r} {r.stderr!r} {data!r}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("out", help="file to write the records to")
+    ap.add_argument("out", nargs="?", help="file to write the value sweep's records to")
+    ap.add_argument("--cli", metavar="OUT", help="file to write the CLI records to")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--draws", type=int, default=200, help="seeded points per argument axis")
     args = ap.parse_args(argv)
-    n = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for record in records(args.seed, args.draws):
-            fh.write("\t".join(record) + "\n")
-            n += 1
-    print(f"{n} records written to {args.out}", file=sys.stderr)
+    if not (args.out or args.cli):
+        ap.error("give OUT, --cli OUT or both")
+    for out, recs in [(args.out, records(args.seed, args.draws)), (args.cli, cli_records())]:
+        if out is None:
+            continue
+        n = 0
+        with open(out, "w", encoding="utf-8") as fh:
+            for record in recs:
+                fh.write("\t".join(record) + "\n")
+                n += 1
+        print(f"{n} records written to {out}", file=sys.stderr)
     return 0
 
 

@@ -139,16 +139,44 @@ def test_ode_two_term_requires_beta():
     assert r.returncode == 0
 
 
-@pytest.mark.parametrize("prefactor", ["paper", "standard"])
-def test_ode_two_term_refuses_prefactor(prefactor):
-    # the two-term equation has one prefactor; the option is refused, not dropped
-    r = run(
-        "ode", "--two-term", "--alpha", "0.25", "--beta", "0.75",
-        "--t-grid", "0.1:10:5", "--prefactor", prefactor,
-    )
+RELAXATION = ("ode", "--relaxation", "--alpha", "0.4", "--t-grid", "0.1:10:5")
+TWO_TERM = ("ode", "--two-term", "--alpha", "0.25", "--beta", "0.75", "--t-grid", "0.1:10:5")
+TABLE1 = ("coeffs", "--table1")
+
+
+@pytest.mark.parametrize("command, stray, message", [
+    *[(RELAXATION, (flag, v), f"{flag} applies to the two-term equation only")
+      for flag in ("--beta", "--c2") for v in ("0.9", "nan")],
+    *[(TWO_TERM, (flag, v), f"{flag} applies to the relaxation equation only")
+      for flag in ("--lambda", "--c1") for v in ("7", "nan")],
+    (TWO_TERM, ("--prefactor", "paper"), "--prefactor applies to the relaxation equation only"),
+    (TWO_TERM, ("--prefactor", "standard"), "--prefactor applies to the relaxation equation only"),
+    (TWO_TERM, ("--lambda", "7", "--c1", "9"), "--lambda applies to the relaxation equation only"),
+    (TABLE1, ("--alpha", "0.3", "--beta", "0.9"), "--alpha does not apply to --table1"),
+    (TABLE1, ("--beta", "nan"), "--beta does not apply to --table1"),
+])
+def test_option_the_command_does_not_take_is_refused(command, stray, message):
+    # refused, not dropped: the command would otherwise print as if it were absent
+    r = run(*command, *stray)
     assert r.returncode == 3
     assert r.stdout == ""
-    assert r.stderr == "mlpade: --prefactor applies to the relaxation equation only\n"
+    assert r.stderr == f"mlpade: {message}\n"
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (("--relaxation", "--alpha", "1.5", "--beta", "0.9"), 3, "alpha must lie in (0,1), got 1.5"),
+    (("--relaxation", "--alpha", "0.8", "--c2", "1"), 4, "approximant is not positive"),
+    (("--two-term", "--alpha", "0.25", "--lambda", "7"), 3, "--two-term requires --beta"),
+    (("--two-term", "--alpha", "0.25", "--beta", "0.75", "--c2", "nan", "--c1", "9"), 3,
+     "c2 must be finite, got nan"),
+    (("--two-term", "--alpha", "0.25", "--beta", "0.75", "--prefactor", "paper", "--lambda", "7"),
+     3, "--prefactor applies to the relaxation equation only"),
+])
+def test_stray_option_leaves_another_fault_its_message(args, code, message):
+    r = run("ode", *args, "--t-grid", "0.1:10:5")
+    assert r.returncode == code
+    assert r.stdout == ""
+    assert r.stderr.startswith(f"mlpade: {message}")
 
 
 def test_bad_t_grid():
