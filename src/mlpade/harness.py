@@ -37,6 +37,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
+    """A log-spaced grid. `array`, built with the spec and read-only, holds
+    np.geomspace(x_min, x_max, n_points) bit for bit (after a leading 0.0
+    under include_zero), on which `scan` CSV and `ode --t-grid` bytes rest:
+    geomspace's steps without its generic entry path, and 10 raised only to
+    the interior exponents, so a grid to the largest double does not overflow."""
+
     x_min: float
     x_max: float
     n_points: int
@@ -49,29 +55,16 @@ class GridSpec:
             )
         if not (isinstance(self.n_points, numbers.Integral) and self.n_points >= 2):
             raise DomainError(f"need an integer n_points >= 2, got {self.n_points!r}")
-
-    @functools.cached_property
-    def array(self) -> np.ndarray:
-        """The log-spaced grid points as one read-only float array, built on
-        first use.
-
-        The points are np.geomspace(x_min, x_max, n_points), bit for bit,
-        after a leading 0.0 under include_zero: the same steps (log10 of the
-        bounds, arange times one step, 10.0 ** y, both ends pinned to the
-        bounds) written into one array, without geomspace's generic entry
-        path. `scan` CSV and `ode --t-grid` bytes rest on that equality.
-        """
         n, k = self.n_points, 1 if self.include_zero else 0
         lo, hi = np.log10(float(self.x_min)), np.log10(float(self.x_max))
         pts = np.zeros(k + n)
         y = pts[k:]
         np.multiply(np.arange(0.0, n), (hi - lo) / (n - 1), out=y)
         y += lo
-        y[-1] = hi
-        np.power(10.0, y, out=y)
+        np.power(10.0, y[1:-1], out=y[1:-1])
         y[0], y[-1] = self.x_min, self.x_max
         pts.flags.writeable = False
-        return pts
+        object.__setattr__(self, "array", pts)
 
     def points(self) -> list[float]:
         return self.array.tolist()

@@ -6,7 +6,9 @@ Off the diagonal the coefficients match A(0), A'(0) and the 1/x and 1/x^2
 terms of the asymptotic series. Those four conditions are solved by hand in
 Gamma ratios, so no Gamma(beta)^2 is formed and the construction holds up
 to Gamma(beta + alpha)'s overflow. The paper's 4x4 system and its closed
-form are kept in the tests as references.
+form are kept in the tests as references. `eval_approx` evaluates A as
+written up to x = 1e100 and past it divided through by x^2 and then x
+(`_rescaled`), an array in non-decreasing order as one slice per range.
 
 E_{alpha,beta}(-x) is completely monotone, so `RationalApprox` refuses an A
 that is not positive and nonincreasing. On the diagonal this allows only
@@ -17,11 +19,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConstructionError
-from .params import _PAIR_MEMO_SIZE, MLParams, Regime, argument
-from .special import gamma, libm, rgamma
+from .params import _PAIR_MEMO_SIZE, MLParams, Regime, argument, restore_order
+from .special import gamma, libm, piecewise, rgamma
 
 __all__ = ["RationalApprox", "build_approx", "eval_approx"]
 
@@ -31,6 +31,7 @@ _DIAGONAL_HINT = "; the diagonal approximant needs alpha <= 1/2"
 # the regime test of eval_approx and inv_pade_from_approx; an attribute lookup
 # on the Enum class would cost about 0.1 us, a third of a float evaluation
 _PURE_EXPONENTIAL = Regime.PURE_EXPONENTIAL
+_RESCALED_FROM = (math.nextafter(1e100, math.inf),)  # the bound of `_rescaled`
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,14 @@ class RationalApprox:
                 f"(n0={n0!r}, n1={n1!r}, d1={d1!r}, d2={d2!r})"
                 + (_DIAGONAL_HINT if self.regime is Regime.DIAGONAL else "")
             )
+
+    def _direct(self, x):
+        """A(x) as written, for x <= 1e100; eval_approx inlines it for a float."""
+        return (self.n0 + self.n1 * x) / (1.0 + self.d1 * x + self.d2 * x * x)
+
+    def _rescaled(self, x):
+        """A(x) for x > 1e100: nothing overflows, and a subnormal result rounds once."""
+        return (self.n0 / x + self.n1) / ((1.0 / x + self.d1) / x + self.d2) / x
 
 
 @functools.lru_cache(maxsize=_PAIR_MEMO_SIZE)
@@ -114,26 +123,13 @@ def eval_approx(approx: RationalApprox, x):
     """Evaluate the approximant at x >= 0: a float (a real number or a 0-d
     array counts as one), or a 1-D array evaluated entry by entry to the same
     values as float calls."""
-    # the hot case, a float in [0, 1e100] off the exponential regime, takes
-    # one chained test; every other argument takes the branch below
-    if not (type(x) is float and 0.0 <= x <= 1e100 and approx.regime is not _PURE_EXPONENTIAL):
-        x = x if type(x) is float and 0.0 <= x < math.inf else argument(x, "eval_approx")
-        if approx.regime is _PURE_EXPONENTIAL:
-            return libm(x).exp(-x)
-        far = x > 1e100
-        if type(x) is float:
-            if far:
-                return _rescaled(approx, x)
-        elif np.count_nonzero(far):
-            out = np.empty(x.shape)
-            out[far] = _rescaled(approx, x[far])
-            out[~far] = eval_approx(approx, x[~far])
-            return out
-    return (approx.n0 + approx.n1 * x) / (1.0 + approx.d1 * x + approx.d2 * x * x)
-
-
-def _rescaled(approx: RationalApprox, x):
-    """A(x) for x > 1e100, divided through by x^2, and by x once more at the
-    end, so neither x*x nor d2*x overflows and a subnormal result is rounded
-    once."""
-    return (approx.n0 / x + approx.n1) / ((1.0 / x + approx.d1) / x + approx.d2) / x
+    # the hot case, a float in [0, 1e100] off the exponential regime, takes one
+    # chained test; any other valid float skips the argument test and the split
+    if type(x) is float and 0.0 <= x <= 1e100 and approx.regime is not _PURE_EXPONENTIAL:
+        return (approx.n0 + approx.n1 * x) / (1.0 + approx.d1 * x + approx.d2 * x * x)
+    if type(x) is float and 0.0 <= x < math.inf:
+        return math.exp(-x) if approx.regime is _PURE_EXPONENTIAL else approx._rescaled(x)
+    x, order = argument(x, "eval_approx")
+    if approx.regime is _PURE_EXPONENTIAL:
+        return restore_order(libm(x).exp(-x), order)
+    return restore_order(piecewise(x, _RESCALED_FROM, (approx._direct, approx._rescaled)), order)

@@ -1,5 +1,5 @@
-"""Parameter validation for E_{alpha,beta}(-x), and the argument conversion
-and x >= 0 test shared by the evaluators.
+"""Parameter validation for E_{alpha,beta}(-x), and the argument conversion,
+x >= 0 test and ordering shared by the evaluators.
 
 The approximation construction splits into five mutually exclusive regimes
 inside the complete-monotonicity region {0 < alpha <= 1, beta >= alpha},
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterDomainError
 
-__all__ = ["Regime", "MLParams", "classify", "convert", "argument"]
+__all__ = ["Regime", "MLParams", "classify", "convert", "argument", "restore_order"]
 
 # the bound of each per-pair memo (build_approx's approximants, the oracle's
 # pair entries): a caller evaluates, inverts or scans one pair many times, and
@@ -97,18 +97,25 @@ def convert(x, op: str, array: bool = True):
 
 
 def argument(x, op: str, *, array: bool = True, finite: bool = True):
-    """x converted as the argument of an x-op `op`: a float or, if `array`, a
-    1-D float64 array (see `convert`). Raises DomainError naming `op` and the
-    first value unless every value is >= 0 and, if `finite`, finite."""
-    x = convert(x, op, array)
-    if type(x) is float:
-        if x >= 0.0 and (x < math.inf or not finite):
-            return x
-        bad = x
-    else:
-        # the ufuncs' reduce, without ndarray.min's and max's Python frames; nan fails
-        lo, hi = np.minimum.reduce(x, initial=0.0), np.maximum.reduce(x, initial=0.0)
-        if lo >= 0.0 and (hi < math.inf or not finite):
-            return x
-        bad = float(x[~((x >= 0.0) & (np.isfinite(x) | (not finite)))][0])
+    """(x, order): x converted as the argument of an x-op `op`, a float or, if
+    `array`, a 1-D float64 array (see `convert`) put in non-decreasing order
+    by `order`, None or a stable argsort. nan fails the order test and sorts
+    last, so the value test reads the two ends. Raises DomainError naming `op`
+    and the caller's first bad value unless each is >= 0 and, if `finite`, finite."""
+    x = y = convert(x, op, array)
+    order = None
+    if type(x) is not float and not np.logical_and.reduce(np.greater_equal(x[1:], x[:-1])):
+        order = x.argsort(kind="stable")
+        y = x[order]
+    lo, hi = (y, y) if type(y) is float else (y[0], y[-1]) if y.size else (0.0, 0.0)
+    if lo >= 0.0 and (hi < math.inf if finite else hi == hi):
+        return y, order
+    bad = x if type(x) is float else float(x[~((x >= 0.0) & (np.isfinite(x) | (not finite)))][0])
     raise DomainError(f"{op} requires {'finite ' if finite else ''}x >= 0, got {bad!r}")
+
+
+def restore_order(values, order):
+    """`values`, a new array at an argument ordered by `order`, back in the caller's order."""
+    if order is not None:
+        values[order] = values.copy()
+    return values

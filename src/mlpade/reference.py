@@ -27,13 +27,14 @@ one of three evaluations:
 Accuracy target: absolute error <= 1e-10 below x**(1/alpha) = 40, relative
 error <= 1e-6 beyond it.
 
-An array is evaluated in one pass, each entry equal to the float call bit for
-bit. Each closed form is one expression of a float or an array, built from
-`special.piecewise` and `special.libm`, so each of its thresholds is written
-once. Any other pair has its own oracle, an entry of a memo of the last 128
-pairs that holds 40**alpha, 1/Gamma(beta), the route and two array kernels,
-the series, on the mask x >= 40**alpha, and the contour, on (x > 0) ^ that
-mask; a float is the one-entry case. Each kernel keeps its x-independent part
+An array is evaluated in one pass and in non-decreasing order, each entry
+equal to the float call bit for bit: every range switch is one call of
+`special.piecewise`, which cuts the ordered array into contiguous slices.
+Each closed form is one expression of a float or an array, built from
+`piecewise` and `special.libm`. Any other pair has its own oracle, an entry of
+a memo of the last 128 pairs that holds 40**alpha, 1/Gamma(beta), the route
+and two array kernels, the contour below 40**alpha and the series from it;
+a float is the one-entry case. Each kernel keeps its x-independent part
 in the entry: the series' coefficients, rebuilt from the first term when a
 call needs more terms than the table holds, so that no value depends on the
 calls before it, and the integrand's two powers of u on the contour's nodes,
@@ -49,7 +50,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .params import _PAIR_MEMO_SIZE, MLParams, argument
+from .params import _PAIR_MEMO_SIZE, MLParams, argument, restore_order
 from .special import _erfcx, erfcx_series_tail, libm, piecewise, rgamma
 
 __all__ = [
@@ -98,7 +99,7 @@ def ml_taylor(params: MLParams, x: float) -> float:
     cancellation would then cost the sum its accuracy, or where the series
     has not converged after 400 terms.
     """
-    x = argument(x, "ml_taylor", array=False)
+    x, _ = argument(x, "ml_taylor", array=False)
     alpha, beta = params.alpha, params.beta
     lnx = math.log(x) if x > 0.0 else -math.inf
     terms = [rgamma(beta)]
@@ -126,8 +127,9 @@ def ml_taylor(params: MLParams, x: float) -> float:
 
 class _PairOracle:
     """The oracle of one (alpha, beta): its route, called on a checked float
-    or 1-D array, and its two kernels with their x-independent parts. An
-    array's entries x >= 40**alpha go to `series`, (x > 0) ^ those to `contour`.
+    or 1-D array in non-decreasing order, and its two kernels with their
+    x-independent parts. An array's entries 0 < x < 40**alpha (>= 1) go to
+    `contour` and x >= 40**alpha to `series`, each as one contiguous slice.
 
     `table`, for `series`, is built as far as calls have needed it: one
     read-only array whose column k holds term k's coefficient and the running
@@ -145,20 +147,13 @@ class _PairOracle:
         self.origin = rgamma(beta)
 
     def __call__(self, x):
-        # a float skips the masks below, which would double a contour point's cost
+        # a float runs its kernel on a one-entry array, without the split below
         if type(x) is float:
             if x == 0.0:
                 return self.origin
             kernel = self.series if x >= self.cutoff else self.contour
             return float(kernel(np.array([x]))[0])
-        out = np.full(x.shape, self.origin)
-        far = x >= self.cutoff
-        near = (x > 0.0) ^ far  # the cutoff 40**alpha >= 1, so far lies in x > 0
-        if np.count_nonzero(far):
-            out[far] = self.series(x[far])
-        if np.count_nonzero(near):
-            out[near] = self.contour(x[near])
-        return out
+        return piecewise(x, (5e-324, self.cutoff), (self.origin, self.contour, self.series))
 
     def cover(self, l_lo: float, l_hi: float) -> np.ndarray:
         """The table, built from its first term until max(rise, l_lo) >
@@ -207,7 +202,7 @@ class _PairOracle:
         return table
 
     def series(self, x: np.ndarray) -> np.ndarray:
-        """-sum_{k>=1} (-x)^{-k} / Gamma(beta - alpha*k) at every entry of x > 0.
+        """-sum_{k>=1} (-x)^{-k} / Gamma(beta - alpha*k) at each entry of the ordered x > 0.
 
         With l = ln(x), term k's log-magnitude envelope is e_k - k*l, where e_k
         is -lgamma(z) for z = beta - alpha*k >= 1/2 and lgamma(1 - z) - ln(pi)
@@ -226,7 +221,7 @@ class _PairOracle:
         table = self.table
         n_terms, n_max = _term_counts(table, ls)
         if n_max == table.shape[1] - 1 < _MAX_TERMS:  # an entry may need more terms
-            table = self.cover(float(ls.min()), float(ls.max()))
+            table = self.cover(float(ls[0]), float(ls[-1]))
             n_terms, n_max = _term_counts(table, ls)
         # partial[:, j] sums terms 1..j in order: np.cumsum's adds, without its wrapper
         k = n_max + 1
@@ -261,7 +256,7 @@ def ml_asymptotic(params: MLParams, x: float) -> float:
     truncated at the smallest term of its magnitude envelope: the oracle's
     series. Raises DomainError below its crossover 40**alpha, and at (1, 1),
     where every term is 0."""
-    x = argument(x, "ml_asymptotic", array=False)
+    x, _ = argument(x, "ml_asymptotic", array=False)
     entry = _pair_table(*params)
     if x < entry.cutoff:
         raise DomainError(
@@ -277,7 +272,7 @@ def _exp_neg(x):
 
 
 def _half_three_halves(x):
-    return piecewise(x, [(x == 0.0, _RGAMMA_THREE_HALVES), (x < 0.5, _h32_near)], _h32_far)
+    return piecewise(x, (5e-324, 0.5), (_RGAMMA_THREE_HALVES, _h32_near, _h32_far))
 
 
 def _h32_near(x):
@@ -291,7 +286,7 @@ def _h32_far(x):
 
 
 def _half_half(x):
-    return piecewise(x, [(x < 26.0, _hh_near)], _hh_far)
+    return piecewise(x, (26.0,), (_hh_near, _hh_far))
 
 
 def _hh_near(x):
@@ -304,7 +299,7 @@ def _hh_far(x):
 
 
 def _one_two(x):
-    return piecewise(x, [(x == 0.0, 1.0)], _one_two_nonzero)
+    return piecewise(x, (5e-324,), (1.0, _one_two_nonzero))
 
 
 def _one_two_nonzero(x):
@@ -324,7 +319,7 @@ _CLOSED_FORMS = {
 def ml_closed_form(params: MLParams, x: float) -> float | None:
     """Exact value for the parameter pairs with an erfcx/exp closed form,
     else None."""
-    x = argument(x, "ml_closed_form", array=False)
+    x, _ = argument(x, "ml_closed_form", array=False)
     closed = _CLOSED_FORMS.get(params)
     return None if closed is None else closed(x)
 
@@ -333,6 +328,8 @@ def ml_oracle(params: MLParams, x):
     """Reference value of E_{alpha,beta}(-x) at x >= 0, a float or a 1-D array:
     closed form where one exists, 1/Gamma(beta) at x = 0, the asymptotic
     series once x**(1/alpha) >= 40, else the contour integral."""
-    # a valid float, the common case, skips the call that checks and converts
-    x = x if type(x) is float and 0.0 <= x < math.inf else argument(x, "ml_oracle")
-    return (_CLOSED_FORMS.get(params) or _pair_table(*params))(x)
+    evaluate = _CLOSED_FORMS.get(params) or _pair_table(*params)
+    if type(x) is float and 0.0 <= x < math.inf:  # the common case skips the test
+        return evaluate(x)
+    x, order = argument(x, "ml_oracle")
+    return restore_order(evaluate(x), order)

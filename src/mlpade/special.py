@@ -5,20 +5,22 @@ so that parameter combinations hitting poles of Gamma produce an exact zero
 instead of an overflow or NaN; past Gamma's overflow it returns 0 as well.
 
 `erfcx` and the closed forms are each one expression of a float or a 1-D
-array: `piecewise` picks a float's branch or each entry's, and `libm(x)` is
-`math` itself for a float and, for an array, each `math` function mapped over
-the entries (`libm_map`), so every entry equals the float call bit for bit.
-numpy's own exp and expm1 run SIMD loops whose last bits differ from libm's.
+array in non-decreasing order: `piecewise` picks a float's range or cuts the
+array into one slice per range, and `libm(x)` is `math` itself for a float
+and, for an array, each `math` function mapped over the entries (`libm_map`),
+so every entry equals the float call bit for bit. numpy's own exp and expm1
+run SIMD loops whose last bits differ from libm's.
 """
 
 import math
+from bisect import bisect_right
 from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DomainError
-from .params import argument
+from .params import argument, restore_order
 
 __all__ = [
     "gamma",
@@ -55,23 +57,22 @@ def libm(x):
     return math if type(x) is float else _ARRAY_MATH
 
 
-def piecewise(x, pieces, rest):
-    """f(x) of the first (condition, f) in `pieces` whose condition holds, else
-    rest(x); an f may be a constant. Conditions are bools for a float x and
-    masks for an array, which overflows to inf silently, as a float does."""
+def piecewise(x, bounds, pieces):
+    """pieces[i], a function of x or a constant, at x in [bounds[i-1],
+    bounds[i]) for increasing bounds. A float picks its piece by bisection, as
+    do an array's two ends, in non-decreasing order: one piece runs on the
+    whole array, more on the contiguous slices that one searchsorted cuts."""
     if type(x) is float:
-        for holds, f in pieces:
-            if holds:
-                return f(x) if callable(f) else f
-        return rest(x)
-    out = np.empty(x.shape)
-    left = np.ones(x.shape, dtype=bool)
-    with np.errstate(over="ignore"):
-        for mask, f in pieces:
-            take = mask & left
-            out[take] = f(x[take]) if callable(f) else f
-            left &= ~mask
-        out[left] = rest(x[left])
+        f = pieces[bisect_right(bounds, x)]
+        return f(x) if callable(f) else f
+    i, j = (bisect_right(bounds, x[0]), bisect_right(bounds, x[-1])) if x.size else (0, 0)
+    if i == j and callable(pieces[i]):
+        return pieces[i](x)
+    ends = [0, *x.searchsorted(bounds).tolist(), x.size]
+    out = np.empty(x.size)
+    for f, a, b in zip(pieces, ends, ends[1:]):
+        if a < b:
+            out[a:b] = f(x[a:b]) if callable(f) else f
     return out
 
 
@@ -108,12 +109,13 @@ def erfcx(x):
     value at every entry. Below 26, exp of x^2 = xh^2 + (x - xh)(x + xh) split
     exactly (xh on 20 fractional bits, so xh^2 is exact); from 26 up, 8 terms
     of the asymptotic series in 1/(2x^2), whose 9th term is below 2e-19 there."""
-    return _erfcx(argument(x, "erfcx", finite=False))
+    x, order = argument(x, "erfcx", finite=False)
+    return restore_order(_erfcx(x), order)
 
 
 def _erfcx(x):
     # erfcx of a checked argument, for the closed forms
-    return piecewise(x, [(x < 26.0, _erfcx_near)], _erfcx_far)
+    return piecewise(x, (26.0,), (_erfcx_near, _erfcx_far))
 
 
 def _erfcx_near(x):
@@ -130,8 +132,12 @@ def erfcx_series_tail(x):
     """1 - sqrt(pi)*x*erfcx(x) for x >= 26, a float or an array: the terms of
     erfcx's asymptotic series after its leading 1, v - 3v^2 + 15v^3 - ... +
     135135v^7 with v = 1/(2x^2), summed without the cancellation of the
-    difference. Past x = 1.3e154, x*x overflows to inf and v is 0; on an
-    array numpy warns of that overflow, except under `piecewise`."""
-    v = 0.5 / (x * x)
+    difference. Past x = 1.3e154, x*x overflows to inf and v is 0, silently
+    on an array as on a float."""
+    if type(x) is float:
+        v = 0.5 / (x * x)
+    else:
+        with np.errstate(over="ignore"):
+            v = 0.5 / (x * x)
     return v * (1.0 - v * (3.0 - v * (15.0 - v * (105.0 - v * (
         945.0 - v * (10395.0 - v * 135135.0))))))

@@ -18,8 +18,11 @@ relaxation prefactors, valid and not, and each pair's `error_scan` and
 `inverse_error_scan` reports on small grids. Each pair's points past the
 oracle's crossover x**(1/alpha) = 40 are then recorded again, as one array and as
 floats from the largest down, so that a value which depended on the calls
-before it would show. Only public names and the one-point views are used, so
-the one file records any checkout. Its name keeps it out of pytest's collection;
+before it would show, and its seeded draws as one shuffled and one sorted
+array, for `ml_oracle` and `eval_approx`. `GridSpec` records the points of
+the CLI's default grids, of grids to the largest double and of grids whose
+bounds differ by 1e-12 relative. Only public names and the one-point views
+are used, so the one file records any checkout. Its name keeps it out of pytest's collection;
 `tests/test_public_api.py` records a small sample in-process.
 
 `--cli OUT` records the command line instead: each command of `CLI_COMMANDS`
@@ -44,6 +47,7 @@ import mlpade as ml
 import mlpade.reference
 
 ENTRY_POINTS = (
+    "GridSpec",
     "error_scan",
     "eval_approx",
     "inv_pade",
@@ -82,6 +86,13 @@ EDGES = [
     math.inf, -math.inf, math.nan, -1.0,
 ]
 SCAN_GRID = ml.GridSpec(1e-3, 1e3, 30, include_zero=True)
+# GridSpec arguments: the grids of `scan` and `ode --t-grid` by default, two
+# grids to the largest double and one whose bounds differ by 1e-12 relative
+GRIDS = [
+    (1e-4, 1e4, 4000, True), (0.01, 100.0, 200, False),
+    (1.0, sys.float_info.max, 5, False), (1e-300, sys.float_info.max, 50, True),
+    (1.0, 1.0 + 1e-12, 5, False), (1e-3, 1e-3 * (1.0 + 1e-12), 4, True),
+]
 KINDS = (np.float64, np.float32, np.array, lambda v: np.array([v]))
 
 
@@ -130,8 +141,12 @@ def records(seed: int = 1, draws: int = 200):
     xs = EDGES + (10.0 ** rng.uniform(-4.0, 4.0, draws)).tolist()
     ts = EDGES + (10.0 ** rng.uniform(-3.0, 3.0, draws)).tolist()
     fractions = rng.uniform(0.0, 1.0, draws).tolist()
+    # the draws as whole arrays, in no order and sorted
+    arrays = {"shuffled": rng.permutation(xs[len(EDGES):]), "sorted": np.sort(xs[len(EDGES):])}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        for grid in GRIDS:
+            yield "GridSpec", repr(grid), outcome(lambda: ml.GridSpec(*grid).array)
         for pair in PAIRS:
             params = ml.classify(*pair)
             for x in _arguments(xs):
@@ -142,6 +157,8 @@ def records(seed: int = 1, draws: int = 200):
             yield "ml_oracle", f"{pair}, array({far!r})", outcome(ml.ml_oracle, params, np.array(far))
             for x in far:
                 yield "ml_oracle", f"{pair}, {x!r} again", outcome(ml.ml_oracle, params, x)
+            for name, a in arrays.items():
+                yield "ml_oracle", f"{pair}, {name} draws", outcome(ml.ml_oracle, params, a)
             for view in ONE_POINT_VIEWS:
                 f = getattr(mlpade.reference, view)
                 for x in _arguments(xs):
@@ -162,6 +179,8 @@ def records(seed: int = 1, draws: int = 200):
             ys += [u * n0 for u in fractions]
             for x in _arguments(xs):
                 yield "eval_approx", f"{pair}, {x!r}", outcome(ml.eval_approx, approx, x)
+            for name, a in arrays.items():
+                yield "eval_approx", f"{pair}, {name} draws", outcome(ml.eval_approx, approx, a)
             for y in _arguments(ys):
                 args = f"{pair}, {y!r}"
                 yield "inv_pade", args, outcome(ml.inv_pade, params, y)
@@ -228,6 +247,10 @@ CLI_COMMANDS = [
     ("ode", "--two-term", "--alpha", "0.25", "--beta", "0.75", "--c2", "nan", "--c1", "9"),
     ODE_TWO + ("--prefactor", "paper", "--lambda", "7"),
     ODE_RELAX + ("--beta", "0.9", "--csv", "missing/out.csv"),
+    # grids to the largest double
+    ("scan", "--alpha", "0.3", "--beta", "0.9", "--grid-min", "1e-300", "--grid-max",
+     "1.7976931348623157e308", "--points", "50"),
+    ("ode", "--relaxation", "--alpha", "0.3", "--t-grid", "1:1.7976931348623157e308:5"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Tests for the error-scan harness and report serialization."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -80,6 +81,15 @@ def test_grid_array_is_built_once_and_read_only():
             assert not np.signbit(g.array).any()
             assert not g.array.flags.writeable
             assert g.points() == g.array.tolist()
+
+
+def test_grid_to_the_largest_double_builds_without_a_warning():
+    # 10 is raised only to the interior exponents, so no overflow is warned of
+    top = sys.float_info.max
+    g = GridSpec(1.0, top, 5, include_zero=True)
+    with np.errstate(over="ignore"):
+        want = np.geomspace(1.0, top, 5)
+    assert g.array.tobytes() == np.concatenate(([0.0], want)).tobytes()
 
 
 def test_format_shortest():

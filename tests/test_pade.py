@@ -290,6 +290,12 @@ def test_eval_array_matches_float_calls_bitwise(a, b):
     want = [eval_approx(ap, x) for x in xs.tolist()]
     assert got.tolist() == want
     assert got[0] == ap.n0
+    # out of order: descending, repeated entries, zeros in the middle, and
+    # each range bound of the oracle and the approximant, shuffled
+    bounds = [0.5, 26.0, 40.0**a, 1e100, math.nextafter(1e100, math.inf)]
+    mixed = np.random.default_rng(3).permutation(np.concatenate([bounds * 2, [0.0, 0.0], xs[::7]]))
+    for ys in (xs[::-1], np.repeat(xs[::9], 3), np.concatenate([xs[40:], [0.0, -0.0], xs[:40]]), mixed):
+        assert eval_approx(ap, ys).tolist() == [eval_approx(ap, y) for y in ys.tolist()]
     for x in (0.0, 0.37, 12.5, 2e100):
         assert eval_approx(ap, np.array([x]))[0] == eval_approx(ap, x)
 
@@ -308,7 +314,9 @@ def test_eval_array_rejects_bad_entries(bad):
         ap = build_approx(classify(a, b))
         with pytest.raises(DomainError, match="^eval_approx requires finite x >= 0, got ") as float_call:
             eval_approx(ap, bad)
-        for xs in ([bad, 1.0, 3.0], [0.0, 1.0, bad], [0.0, 1.0, bad, 3.0]):
+        # with a second bad entry after it, the first in the caller's order is named
+        for xs in ([bad, 1.0, 3.0], [0.0, 1.0, bad], [0.0, 1.0, bad, 3.0], [2.0, bad, -5.0],
+                   [2.0, bad, math.nan]):
             with pytest.raises(DomainError, match=f"^{re.escape(str(float_call.value))}$"):
                 eval_approx(ap, np.array(xs))
 

@@ -303,6 +303,12 @@ def test_oracle_array_matches_float_calls(a, b):
     # bit for bit on every route: closed form, x = 0, contour and series
     assert got.tolist() == [ml_oracle(params, x) for x in xs.tolist()]
     assert got[0] == rgamma(b)
+    # descending, repeated entries, zeros in the middle, and each range bound
+    # of the oracle and the approximant, shuffled
+    bounds = [0.5, 26.0, cut, 1e100, math.nextafter(1e100, math.inf)]
+    mixed = rng.permutation(np.concatenate([bounds * 2, [0.0, 0.0], xs[::5]]))
+    for ys in (np.sort(xs)[::-1], np.repeat(xs[::8], 3), np.concatenate([xs[30:], [0.0, -0.0], xs[:30]]), mixed):
+        assert ml_oracle(params, ys).tolist() == [ml_oracle(params, y) for y in ys.tolist()]
     for x in xs[:6].tolist():
         assert ml_oracle(params, np.array([x]))[0] == ml_oracle(params, x)
 
@@ -322,11 +328,12 @@ def test_oracle_float_like_scalar_gives_float(a, b, x):
 @pytest.mark.parametrize("bad", [-1e-300, -1.0, -2.0, math.nan, math.inf])
 @pytest.mark.parametrize("a,b", [(0.3, 0.9), (0.5, 1.0)])
 def test_oracle_rejects_bad_entries(a, b, bad):
-    # an array with a bad entry alone, first or last gets the float call's message
+    # an array with a bad entry alone, first or last gets the float call's
+    # message, and so does one with a second bad entry after it
     params = classify(a, b)
     with pytest.raises(DomainError, match="^ml_oracle requires finite x >= 0, got ") as float_call:
         ml_oracle(params, bad)
-    for xs in ([bad], [bad, 0.5, 2e3], [0.5, 2e3, bad]):
+    for xs in ([bad], [bad, 0.5, 2e3], [0.5, 2e3, bad], [2.0, bad, -5.0], [2.0, bad, math.nan]):
         with pytest.raises(DomainError, match=f"^{re.escape(str(float_call.value))}$"):
             ml_oracle(params, np.array(xs))
 

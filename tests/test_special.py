@@ -110,6 +110,13 @@ def test_erfcx_matches_mpmath():
     ]
     ref = lambda x: mpmath.exp(x * x) * mpmath.erfc(x)
     assert _max_rel_error(erfcx, ref, xs) <= 2e-15
+    # an array, in no order, descending, with repeated entries, zeros in the
+    # middle, and 0.5, 26 and inf shuffled, equals the float calls
+    edges = [0.5, 26.0, math.nextafter(26.0, 0.0), math.inf, 1e160]
+    mixed = rng.permutation(edges * 2 + [0.0, 0.0] + xs[::50])
+    for ys in (xs, sorted(xs, reverse=True), np.repeat(xs[::40], 3), xs[500:] + [0.0] + xs[:500], mixed):
+        ys = np.array(ys)
+        assert erfcx(ys).tolist() == [erfcx(y) for y in ys.tolist()]
 
 
 def test_gamma_rgamma_match_mpmath():
