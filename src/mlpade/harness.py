@@ -3,8 +3,8 @@
 The forward scan measures |A(x) - E_{alpha,beta}(-x)| over a grid; the
 inverse scan measures the distance between the algebraic inverse of the
 approximant and the true functional inverse obtained by bisecting the
-oracle. A report keeps the scan's four columns as read-only float64 arrays
-and its worst point; its per-point `samples` tuples are built only when read.
+oracle. A report keeps the scan's four columns as read-only, C-contiguous
+float64 arrays and its worst point; its per-point `samples` tuples are built only when read.
 Reports serialize deterministically to CSV, formatted from the columns, or to
 a one-line summary.
 """
@@ -40,8 +40,9 @@ class GridSpec:
     """A log-spaced grid. `array`, built with the spec and read-only, holds
     np.geomspace(x_min, x_max, n_points) bit for bit (after a leading 0.0
     under include_zero), on which `scan` CSV and `ode --t-grid` bytes rest:
-    geomspace's steps without its generic entry path, and 10 raised only to
-    the interior exponents, so a grid to the largest double does not overflow."""
+    geomspace's steps without its generic entry path, done in place in the
+    one array, and 10 raised only to the interior exponents, so a grid to the
+    largest double does not overflow."""
 
     x_min: float
     x_max: float
@@ -53,17 +54,20 @@ class GridSpec:
             raise DomainError(
                 f"need finite 0 < x_min < x_max, got ({self.x_min!r}, {self.x_max!r})"
             )
-        if not (isinstance(self.n_points, numbers.Integral) and self.n_points >= 2):
-            raise DomainError(f"need an integer n_points >= 2, got {self.n_points!r}")
-        n, k = self.n_points, 1 if self.include_zero else 0
+        n = self.n_points
+        if not ((type(n) is int or isinstance(n, numbers.Integral)) and n >= 2):
+            raise DomainError(f"need an integer n_points >= 2, got {n!r}")
+        k = 1 if self.include_zero else 0
         lo, hi = np.log10(float(self.x_min)), np.log10(float(self.x_max))
-        pts = np.zeros(k + n)
-        y = pts[k:]
-        np.multiply(np.arange(0.0, n), (hi - lo) / (n - 1), out=y)
-        y += lo
-        np.power(10.0, y[1:-1], out=y[1:-1])
-        y[0], y[-1] = self.x_min, self.x_max
-        pts.flags.writeable = False
+        # the exponents lo + j*step, j = -k..n-1; j = -1 is the leading 0.0's place
+        pts = np.arange(-k, n, dtype=float)
+        pts *= (hi - lo) / (n - 1)
+        pts += lo
+        np.power(10.0, pts[k + 1:-1], out=pts[k + 1:-1])
+        pts[k], pts[-1] = self.x_min, self.x_max
+        if k:
+            pts[0] = 0.0
+        pts.setflags(write=False)
         object.__setattr__(self, "array", pts)
 
     def points(self) -> list[float]:
@@ -109,9 +113,10 @@ def _report(params, grid, columns, max_rel_error=None) -> ErrorReport:
     """The report of four float64 columns, each made read-only; its worst
     point is the first entry of the largest abs_error."""
     for c in columns:
-        c.flags.writeable = False
-    i = int(columns[3].argmax())
-    return ErrorReport(params, grid, float(columns[3][i]), float(columns[0][i]), columns, max_rel_error)
+        c.setflags(write=False)
+    err = columns[3]
+    i = err.argmax()
+    return ErrorReport(params, grid, err.item(i), columns[0].item(i), columns, max_rel_error)
 
 
 def error_scan(params: MLParams, grid: GridSpec = DEFAULT_GRID) -> ErrorReport:

@@ -28,17 +28,19 @@ Accuracy target: absolute error <= 1e-10 below x**(1/alpha) = 40, relative
 error <= 1e-6 beyond it.
 
 An array is evaluated in one pass and in non-decreasing order, each entry
-equal to the float call bit for bit: every range switch is one call of
+equal to the float call bit for bit, into a C-contiguous float64 array of its
+own: every range switch is one call of
 `special.piecewise`, which cuts the ordered array into contiguous slices.
 Each closed form is one expression of a float or an array, built from
 `piecewise` and `special.libm`. Any other pair has its own oracle, an entry of
 a memo of the last 128 pairs that holds 40**alpha, 1/Gamma(beta), the route
 and two array kernels, the contour below 40**alpha and the series from it;
 a float is the one-entry case. Each kernel keeps its x-independent part
-in the entry: the series' coefficients, rebuilt from the first term when a
-call needs more terms than the table holds, so that no value depends on the
-calls before it, and the integrand's two powers of u on the contour's nodes,
-built on the first contour call. The series' exponents -k are one constant.
+in the entry: the series' coefficients and term counts, rebuilt from the
+first term when a call needs more terms than the table holds, so that no
+value depends on the calls before it, and the integrand's two powers of u on
+the contour's nodes, built on the first contour call. The series' exponents
+-k are one constant.
 
 `ml_taylor`, a plain double-precision Taylor sum for small x, is not used by
 the oracle; it remains as an independent check of the closed forms.
@@ -125,21 +127,27 @@ def ml_taylor(params: MLParams, x: float) -> float:
     )
 
 
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 class _PairOracle:
     """The oracle of one (alpha, beta): its route, called on a checked float
     or 1-D array in non-decreasing order, and its two kernels with their
     x-independent parts. An array's entries 0 < x < 40**alpha (>= 1) go to
     `contour` and x >= 40**alpha to `series`, each as one contiguous slice.
 
-    `table`, for `series`, is built as far as calls have needed it: one
-    read-only array whose column k holds term k's coefficient and the running
-    bounds `rise` and -`fall` after term k; column 0, the term k = 0 with
-    coefficient 0, holds rise = -inf and fall = inf, which end no entry.
+    `table`, for `series`, is built as far as calls have needed it: three
+    read-only arrays, the coefficients of terms 0..K (term 0's is 0), and the
+    term count of l = ln(x) as a step function, `breaks` and `counts`: an
+    entry sums counts[i] terms, i the number of breaks <= l. The placeholder
+    has no terms and gives every entry 0, so its first call builds the table.
     `nodes`, for `contour`, holds u^(alpha-beta) and u^alpha on the contour's
     nodes. `series` takes its exponents -k from the constant `_NEG_K`."""
 
-    table = np.array([[0.0], [-math.inf], [-math.inf]])  # until the first `cover`
-    table.flags.writeable = False
+    table = _read_only(np.zeros(1), np.empty(0), np.zeros(1, np.intp))  # until the first `cover`
 
     def __init__(self, alpha: float, beta: float):
         self.alpha, self.beta = alpha, beta
@@ -153,19 +161,26 @@ class _PairOracle:
                 return self.origin
             kernel = self.series if x >= self.cutoff else self.contour
             return float(kernel(np.array([x]))[0])
-        return piecewise(x, (5e-324, self.cutoff), (self.origin, self.contour, self.series))
+        # an array wholly on the contour gets the contour's values, a strided
+        # view into its complex sums: copied into an array of its own
+        return np.ascontiguousarray(
+            piecewise(x, (5e-324, self.cutoff), (self.origin, self.contour, self.series)))
 
-    def cover(self, l_lo: float, l_hi: float) -> np.ndarray:
+    def cover(self, l_lo: float, l_hi: float) -> tuple:
         """The table, built from its first term until max(rise, l_lo) >
         min(fall, l_hi), when each entry with l in [l_lo, l_hi] has ended its
-        sum, or to 400 terms; then published in one assignment. Sized by the
-        calls: a table for the whole series domain (median 88 terms) doubles a
-        fresh pair's first series call and adds half to a scalar oracle's p50."""
+        sum, or to 400 terms; then published in one assignment. The running
+        bounds `rise` and `fall` after each term k give l's term count,
+        min(#{rise_k <= l}, #{fall_k >= l}), which changes only at each rise_k
+        and at the double after each fall_k: these are the breaks. Sized by
+        the calls: a table for the whole series domain (median 88 terms)
+        doubles a fresh pair's first series call and adds half to a scalar
+        oracle's p50."""
         alpha, beta = self.alpha, self.beta
         k = k1 = 0  # k1: the first nonzero term
         log_c1 = e_prev = 0.0
         rise, fall = -math.inf, math.inf
-        columns = [0.0, rise, -fall]
+        columns = []
         lgamma, gamma, sin, pi = math.lgamma, math.gamma, math.sin, math.pi
         while rise <= fall and rise <= l_hi and l_lo <= fall and k < _MAX_TERMS:
             k += 1
@@ -195,10 +210,15 @@ class _PairOracle:
             elif not k1 and c:
                 k1, log_c1 = k, math.log(abs(c))
             e_prev = e
-            columns += c, rise, -fall
-        table = np.array(columns).reshape(-1, 3).T
-        table.flags.writeable = False
-        self.table = table
+            columns.append((c, rise, fall))
+        coef, rises, falls = np.array(columns).T
+        # np.sort, not np.unique, which imports numpy.ma (1 MB) on its first call
+        breaks = np.sort(np.concatenate([rises, np.nextafter(falls, math.inf)]))
+        # breaks[0] is rise_1 = -inf, so counts[0], below every break, is never read
+        counts = np.zeros(breaks.size + 1, np.intp)
+        np.minimum(rises.searchsorted(breaks, "right"), (-falls).searchsorted(-breaks, "right"),
+                   out=counts[1:])
+        table = self.table = _read_only(np.concatenate([[0.0], coef]), breaks, counts)
         return table
 
     def series(self, x: np.ndarray) -> np.ndarray:
@@ -213,20 +233,23 @@ class _PairOracle:
         coefficient is not finite, and after 400 terms at most. The rise ends
         every entry with l below a running bound, the falls every entry with l
         above another, so an entry's term count is the last term before l
-        leaves the bounds. The coefficients and bounds depend on the pair
-        alone: the table is rebuilt, longer, only when an entry runs off its
-        end, and a call sums with the table it was handed.
+        leaves the bounds, looked up in the table's step function of l. The
+        coefficients and counts depend on the pair alone: the table is
+        rebuilt, longer, only when an entry runs off its end, and a call sums
+        with the table it was handed.
         """
         ls = np.log(x)
         table = self.table
         n_terms, n_max = _term_counts(table, ls)
-        if n_max == table.shape[1] - 1 < _MAX_TERMS:  # an entry may need more terms
+        if n_max == table[0].size - 1 < _MAX_TERMS:  # an entry may need more terms
             table = self.cover(float(ls[0]), float(ls[-1]))
             n_terms, n_max = _term_counts(table, ls)
-        # partial[:, j] sums terms 1..j in order: np.cumsum's adds, without its wrapper
+        # row i, column j: the sum of terms 1..j at x[i], added in order as np.cumsum does
         k = n_max + 1
-        partial = np.add.accumulate(table[0, :k] * x[:, None] ** _NEG_K[:k], axis=1)
-        return partial[np.arange(x.size), n_terms]
+        terms = np.power(x[:, None], _NEG_K[:k])
+        terms *= table[0][:k]
+        np.add.accumulate(terms, axis=1, out=terms)
+        return terms[np.arange(x.size), n_terms]
 
     @functools.cached_property
     def nodes(self) -> tuple:
@@ -245,9 +268,9 @@ class _PairOracle:
 _pair_table = functools.lru_cache(maxsize=_PAIR_MEMO_SIZE)(_PairOracle)
 
 
-def _term_counts(table: np.ndarray, ls: np.ndarray):
-    """Each entry's term count by the table's bounds, and the largest."""
-    n = np.minimum(table[1, 1:].searchsorted(ls, "right"), table[2, 1:].searchsorted(-ls, "right"))
+def _term_counts(table: tuple, ls: np.ndarray):
+    """Each entry's term count by the table's step function of l, and the largest."""
+    n = table[2].take(table[1].searchsorted(ls, "right"))
     return n, np.maximum.reduce(n)
 
 

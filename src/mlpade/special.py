@@ -37,9 +37,11 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 def libm_map(fn, v: np.ndarray) -> np.ndarray:
-    """The float function fn at every entry of the float array v, in one
-    C-level map of float calls: each entry equals fn(entry) bit for bit."""
-    return np.fromiter(map(fn, v.tolist()), float, v.size)
+    """The float function fn at every entry of the 1-D float64 array v, in
+    native byte order, in one C-level map of float calls over v's buffer (any
+    strides, writeable or not), without a list of its entries: each entry
+    equals fn(entry) bit for bit."""
+    return np.fromiter(map(fn, memoryview(v)), float, v.size)
 
 
 # the `math` functions the closed forms call, as they apply to an array

@@ -18,11 +18,13 @@ relaxation prefactors, valid and not, and each pair's `error_scan` and
 `inverse_error_scan` reports on small grids. Each pair's points past the
 oracle's crossover x**(1/alpha) = 40 are then recorded again, as one array and as
 floats from the largest down, so that a value which depended on the calls
-before it would show, and its seeded draws as one shuffled and one sorted
-array, for `ml_oracle` and `eval_approx`. `GridSpec` records the points of
-the CLI's default grids, of grids to the largest double and of grids whose
-bounds differ by 1e-12 relative. Only public names and the one-point views
-are used, so the one file records any checkout. Its name keeps it out of pytest's collection;
+before it would show, and its seeded draws as one shuffled, one sorted, one
+strided (every other shuffled draw) and one read-only array, for `ml_oracle`
+and `eval_approx`; `erfcx` records the strided and the read-only array.
+`GridSpec` records the points of the CLI's default grids, of grids to the
+largest double and of grids whose bounds differ by 1e-12 relative. Only
+public names, the one-point views and `mlpade.special.erfcx` are used, so the
+one file records any checkout. Its name keeps it out of pytest's collection;
 `tests/test_public_api.py` records a small sample in-process.
 
 `--cli OUT` records the command line instead: each command of `CLI_COMMANDS`
@@ -45,6 +47,7 @@ import numpy as np
 
 import mlpade as ml
 import mlpade.reference
+import mlpade.special
 
 ENTRY_POINTS = (
     "GridSpec",
@@ -61,6 +64,8 @@ ENTRY_POINTS = (
 )
 # the oracle's one-point views, imported from mlpade.reference
 ONE_POINT_VIEWS = ("ml_asymptotic", "ml_closed_form", "ml_taylor")
+# the array primitives of mlpade.special
+SPECIAL_FUNCTIONS = ("erfcx",)
 
 PAIRS = [
     (0.5, 1.5), (0.5, 1.0), (0.5, 0.5), (1.0, 2.0), (1.0, 1.0), (1.0, 1.0000001),
@@ -141,12 +146,18 @@ def records(seed: int = 1, draws: int = 200):
     xs = EDGES + (10.0 ** rng.uniform(-4.0, 4.0, draws)).tolist()
     ts = EDGES + (10.0 ** rng.uniform(-3.0, 3.0, draws)).tolist()
     fractions = rng.uniform(0.0, 1.0, draws).tolist()
-    # the draws as whole arrays, in no order and sorted
+    # the draws as whole arrays, in no order and sorted, then every other
+    # shuffled draw as a strided view and the sorted draws read-only
     arrays = {"shuffled": rng.permutation(xs[len(EDGES):]), "sorted": np.sort(xs[len(EDGES):])}
+    arrays["strided"] = arrays["shuffled"][::2]
+    arrays["read-only"] = arrays["sorted"].copy()
+    arrays["read-only"].setflags(write=False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for grid in GRIDS:
             yield "GridSpec", repr(grid), outcome(lambda: ml.GridSpec(*grid).array)
+        for name in ("strided", "read-only"):
+            yield "erfcx", f"{name} draws", outcome(mlpade.special.erfcx, arrays[name])
         for pair in PAIRS:
             params = ml.classify(*pair)
             for x in _arguments(xs):

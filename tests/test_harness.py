@@ -167,6 +167,14 @@ def test_report_columns_are_read_only_float64_arrays():
         assert report.samples == list(zip(*(c.tolist() for c in report.columns)))
 
 
+def test_report_columns_own_contiguous_memory():
+    # a grid without 0 and below the crossover puts the whole oracle column
+    # on the contour, whose values are the real part of complex sums
+    for report in _reports() + [error_scan(classify(0.3, 0.9), GridSpec(1e-3, 2.0, 31))]:
+        for column in report.columns:
+            assert column.flags.c_contiguous and column.flags.owndata
+
+
 def test_report_samples_are_built_once():
     for report in _reports():
         assert report.samples is report.samples

@@ -39,6 +39,6 @@ def test_the_parity_recorder_covers_every_float_entry_point():
         ops.add(op)
         kind, _, rest = outcome.partition(" ")
         assert kind.endswith("Error:") or rest, (op, args, outcome)
-    assert ops == set(parity.ENTRY_POINTS) | set(parity.ONE_POINT_VIEWS)
+    assert ops == set(parity.ENTRY_POINTS) | set(parity.ONE_POINT_VIEWS) | set(parity.SPECIAL_FUNCTIONS)
     assert set(parity.ENTRY_POINTS) <= set(mlpade.__all__)
     assert all(callable(getattr(mlpade.reference, view)) for view in parity.ONE_POINT_VIEWS)

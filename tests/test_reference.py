@@ -1,5 +1,6 @@
 """Tests for the high-accuracy reference evaluator."""
 
+import itertools
 import math
 import os
 import re
@@ -18,7 +19,8 @@ import mlpade
 from mlpade import DEFAULT_GRID, DomainError, NonConvergenceError, classify, ml_oracle
 from mlpade.params import _PAIR_MEMO_SIZE
 from mlpade.reference import (
-    _CLOSED_FORMS, _MAX_TERMS, _NEG_K, _pair_table, _term_counts, ml_asymptotic, ml_closed_form, ml_taylor,
+    _CLOSED_FORMS, _MAX_TERMS, _NEG_K, _pair_table, _PairOracle, _term_counts, ml_asymptotic,
+    ml_closed_form, ml_taylor,
 )
 from mlpade.special import erfcx, rgamma
 from talbot_reference import ml_talbot
@@ -346,6 +348,22 @@ def test_oracle_accepts_negative_zero(a, b):
     assert ml_oracle(params, xs).tolist() == [ml_oracle(params, x) for x in xs.tolist()]
 
 
+@pytest.mark.parametrize(
+    "a,b,xs",
+    [(0.3, 0.9, [0.5, 1.0]), (0.3, 0.9, [1.0, 0.5]), (0.3, 0.9, [1e3, 2e3]),
+     (0.3, 0.9, [0.0, 0.5, 1e3]), (0.5, 1.0, [0.5, 30.0])],
+    ids=["contour", "contour-unordered", "series", "all-routes", "closed-form"],
+)
+def test_oracle_arrays_own_contiguous_float64_memory(a, b, xs):
+    # the contour's values are the real part of complex sums; an array on the
+    # contour alone must not come back as a strided view into that buffer
+    params = classify(a, b)
+    for x in (np.array(xs), np.repeat(xs, 2)[::2]):
+        got = ml_oracle(params, x)
+        assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.owndata
+        assert got.tolist() == [ml_oracle(params, v) for v in xs]
+
+
 def test_series_array_at_the_full_exponent_row_matches_float_calls():
     # at (0.05, 0.5) the crossover itself needs all 400 terms, so the array
     # call takes the whole exponent row -k, k = 0..400
@@ -376,17 +394,12 @@ def test_asymptotic_diagonal_far_past_crossover_matches_reference(a, x):
     assert got == pytest.approx(ml_talbot(a, a, x), rel=2e-15, abs=0.0)
 
 
-def _series_one_pass(alpha, beta, x):
-    """The series as one pass over k per call, with the stop rules of
-    `reference._PairOracle.series` and no table kept between calls: the
-    reference that the memoised tables must reproduce bit for bit."""
-    order = np.argsort(x)
-    ls = np.log(x[order]).tolist()
-    lo, hi = 0, len(ls) - 1
-    n_terms, coef = [0] * len(ls), [0.0]
-    rise, fall, e_prev, log_c1, k, k1 = -math.inf, math.inf, 0.0, 0.0, 0, 0
-    while lo <= hi and k < 400:
-        k += 1
+def _series_terms(alpha, beta):
+    """(c_k, rise_k, fall_k) for k = 1..400: term k's coefficient and the
+    running bounds on l = ln(x) after it, by the stop rules of
+    `reference._PairOracle.series`."""
+    rise, fall, e_prev, log_c1, k1 = -math.inf, math.inf, 0.0, 0.0, 0
+    for k in range(1, 401):
         z = beta - alpha * k
         if z >= 0.5:
             e = -math.lgamma(z)
@@ -405,6 +418,21 @@ def _series_one_pass(alpha, beta, x):
         if math.isfinite(c) and not k1 and c:
             k1, log_c1 = k, math.log(abs(c))
         e_prev = e
+        yield c, rise, fall
+
+
+def _series_one_pass(alpha, beta, x):
+    """The series as one pass over k per call, with the stop rules of
+    `reference._PairOracle.series` and no table kept between calls: the
+    reference that the memoised tables must reproduce bit for bit."""
+    order = np.argsort(x)
+    ls = np.log(x[order]).tolist()
+    lo, hi = 0, len(ls) - 1
+    n_terms, coef, k = [0] * len(ls), [0.0], 0
+    for c, rise, fall in _series_terms(alpha, beta):
+        if lo > hi:
+            break
+        k += 1
         while lo <= hi and ls[lo] < rise:
             n_terms[lo], lo = k - 1, lo + 1
         while lo <= hi and ls[hi] > fall:
@@ -419,6 +447,67 @@ def _series_one_pass(alpha, beta, x):
 
 def _bits(v):
     return np.asarray(v, dtype=np.float64).tobytes()
+
+
+def _assert_counts_follow_the_two_bounds(entry, ls):
+    """The entry's table against the bounds of its terms: its coefficients,
+    and its counts at each l of ls and on and beside every finite bound,
+    against min(#{rise_k <= l}, #{fall_k >= l}) over the table's terms."""
+    coef = entry.table[0]
+    assert not any(a.flags.writeable for a in entry.table)
+    terms = list(itertools.islice(_series_terms(entry.alpha, entry.beta), coef.size - 1))
+    assert _bits(coef) == _bits([0.0] + [c for c, _, _ in terms])
+    rises, falls = (np.array([t[i] for t in terms]) for i in (1, 2))
+    edges = np.concatenate([rises, falls])
+    edges = edges[np.isfinite(edges)]
+    probes = np.concatenate([ls, edges, np.nextafter(edges, -math.inf), np.nextafter(edges, math.inf)])
+    want = np.minimum((rises <= probes[:, None]).sum(axis=1), (falls >= probes[:, None]).sum(axis=1))
+    n, n_max = _term_counts(entry.table, probes)
+    assert n.tolist() == want.tolist() and n_max == want.max()
+    return n[:len(ls)]
+
+
+def test_term_counts_follow_the_two_bounds_on_seeded_pairs():
+    # diagonals, pairs near the diagonal and pairs to beta = 170, each over x
+    # from its crossover to 1e8 times it
+    rng = np.random.default_rng(23)
+    for i in range(40):
+        a = rng.uniform(0.02, 1.0)
+        b = (a, a + rng.uniform(0.0, 3.0), rng.uniform(a, 170.0))[i % 3]
+        entry = _PairOracle(a, b)
+        xs = entry.cutoff * np.sort(10.0 ** np.append(rng.uniform(0.0, 8.0, 15), 0.0))
+        assert _bits(entry.series(xs)) == _bits(_series_one_pass(a, b, xs))
+        _assert_counts_follow_the_two_bounds(entry, np.log(xs))
+
+
+def test_term_counts_of_the_placeholder_table_force_a_build():
+    # before its first series call an entry holds no terms: every count is 0,
+    # the table's length, so the call builds the table
+    entry = _PairOracle(0.3, 0.9)
+    xs = entry.cutoff * np.array([1.0, 10.0, 1e4])
+    n, n_max = _term_counts(entry.table, np.log(xs))
+    assert n.tolist() == [0, 0, 0] and n_max == entry.table[0].size - 1 == 0
+    assert _bits(entry.series(xs)) == _bits(_series_one_pass(0.3, 0.9, xs))
+    assert entry.table is not _PairOracle.table and entry.table[0].size > 1
+    _assert_counts_follow_the_two_bounds(entry, np.log(xs))
+
+
+def test_term_counts_past_a_nonfinite_coefficient():
+    # at (1, 1) every coefficient to k = 171 is 0 and the 172nd is inf * 0:
+    # the fall bound drops to -inf there and no entry sums that term
+    entry = _PairOracle(1.0, 1.0)
+    ls = np.log(entry.cutoff * np.array([1.0, 1e4, 1e8]))
+    entry.cover(float(ls[0]), float(ls[-1]))
+    assert entry.table[0].size - 1 == 172 and not np.isfinite(entry.table[0][-1])
+    assert _assert_counts_follow_the_two_bounds(entry, ls).max() < 172
+
+
+def test_term_counts_at_the_full_exponent_row():
+    # (0.05, 0.5) needs all 400 terms at its crossover
+    entry = _PairOracle(0.05, 0.5)
+    xs = entry.cutoff * np.array([1.0, 1.2, 1e3])
+    entry.series(xs)
+    assert _assert_counts_follow_the_two_bounds(entry, np.log(xs))[0] == _MAX_TERMS
 
 
 @st.composite

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mlpade import ConstructionError, DomainError, build_approx, classify
-from mlpade.special import erfcx, gamma, is_nonpositive_integer, rgamma
+from mlpade.special import erfcx, gamma, is_nonpositive_integer, libm_map, rgamma
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -137,3 +137,15 @@ def test_large_beta_construction_error_is_typed():
     # Gamma(172) overflows; construction reports it as ConstructionError
     with pytest.raises(ConstructionError):
         build_approx(classify(0.5, 172.0))
+
+
+@pytest.mark.parametrize("fn", [math.exp, math.expm1, math.erf, math.erfc])
+def test_libm_map_is_the_float_call_at_every_entry(fn):
+    # strided, read-only, empty and one-entry arrays alike, bit for bit
+    xs = np.random.default_rng(5).uniform(-30.0, 30.0, 401)
+    read_only = xs.copy()
+    read_only.setflags(write=False)
+    for v in (xs, xs[::2], xs[::-3], read_only, read_only[1::2], xs[:0], xs[:1]):
+        got = libm_map(fn, v)
+        assert got.dtype == np.float64 and got.shape == v.shape
+        assert got.tobytes() == np.array([fn(x) for x in v.tolist()], dtype=np.float64).tobytes()
