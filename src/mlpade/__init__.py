@@ -23,7 +23,6 @@ from .fode import (
 from .harness import (
     DEFAULT_GRID,
     ErrorReport,
-    GridSpec,
     emit_report,
     error_scan,
     format_shortest,
@@ -31,7 +30,7 @@ from .harness import (
 )
 from .inverse import inv_pade, inv_pade_from_approx
 from .pade import RationalApprox, build_approx, eval_approx
-from .params import MLParams, Regime, classify
+from .params import GridSpec, MLParams, Regime, classify
 from .reference import ml_oracle
 
 __version__ = "0.1.0"

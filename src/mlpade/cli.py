@@ -21,10 +21,10 @@ from .fode import (
     two_term_exact,
     two_term_pade,
 )
-from .harness import GridSpec, DEFAULT_GRID, _csv, emit_report, error_scan, format_shortest
+from .harness import DEFAULT_GRID, _csv, emit_report, error_scan, format_shortest
 from .inverse import inv_pade
 from .pade import build_approx, eval_approx
-from .params import classify
+from .params import GridSpec, classify
 from .reference import ml_oracle
 from .selftest import WORKED, run_selftest
 

@@ -10,8 +10,6 @@ a one-line summary.
 """
 
 import functools
-import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -20,12 +18,11 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError
 from .inverse import inv_pade_from_approx
 from .pade import build_approx, eval_approx
-from .params import MLParams
+from .params import GridSpec, MLParams
 from .reference import ml_oracle
 from .special import rgamma
 
 __all__ = [
-    "GridSpec",
     "ErrorReport",
     "DEFAULT_GRID",
     "error_scan",
@@ -33,45 +30,6 @@ __all__ = [
     "emit_report",
     "format_shortest",
 ]
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """A log-spaced grid. `array`, built with the spec and read-only, holds
-    np.geomspace(x_min, x_max, n_points) bit for bit (after a leading 0.0
-    under include_zero), on which `scan` CSV and `ode --t-grid` bytes rest:
-    geomspace's steps without its generic entry path, done in place in the
-    one array, and 10 raised only to the interior exponents, so a grid to the
-    largest double does not overflow."""
-
-    x_min: float
-    x_max: float
-    n_points: int
-    include_zero: bool = False
-
-    def __post_init__(self):
-        if not (0.0 < self.x_min < self.x_max < math.inf):
-            raise DomainError(
-                f"need finite 0 < x_min < x_max, got ({self.x_min!r}, {self.x_max!r})"
-            )
-        n = self.n_points
-        if not ((type(n) is int or isinstance(n, numbers.Integral)) and n >= 2):
-            raise DomainError(f"need an integer n_points >= 2, got {n!r}")
-        k = 1 if self.include_zero else 0
-        lo, hi = np.log10(float(self.x_min)), np.log10(float(self.x_max))
-        # the exponents lo + j*step, j = -k..n-1; j = -1 is the leading 0.0's place
-        pts = np.arange(-k, n, dtype=float)
-        pts *= (hi - lo) / (n - 1)
-        pts += lo
-        np.power(10.0, pts[k + 1:-1], out=pts[k + 1:-1])
-        pts[k], pts[-1] = self.x_min, self.x_max
-        if k:
-            pts[0] = 0.0
-        pts.setflags(write=False)
-        object.__setattr__(self, "array", pts)
-
-    def points(self) -> list[float]:
-        return self.array.tolist()
 
 
 DEFAULT_GRID = GridSpec(1e-4, 1e4, 4000, include_zero=True)
@@ -120,12 +78,13 @@ def _report(params, grid, columns, max_rel_error=None) -> ErrorReport:
 
 
 def error_scan(params: MLParams, grid: GridSpec = DEFAULT_GRID) -> ErrorReport:
-    """Tabulate |approximant - oracle| over the grid, in one array pass."""
-    xs = grid.array
-    approx = eval_approx(build_approx(params), xs)
-    oracle = ml_oracle(params, xs)
+    """Tabulate |approximant - oracle| over the grid, in one array pass:
+    `eval_approx` and `ml_oracle` each take the grid itself, which an ordered
+    grid spares their argument tests. The x column is `grid.array`."""
+    approx = eval_approx(build_approx(params), grid)
+    oracle = ml_oracle(params, grid)
     err = approx - oracle
-    return _report(params, grid, (xs, approx, oracle, np.abs(err, out=err)))
+    return _report(params, grid, (grid.array, approx, oracle, np.abs(err, out=err)))
 
 
 def _bisect_inverse(params, y):

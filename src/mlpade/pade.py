@@ -121,8 +121,8 @@ def build_approx(params: MLParams) -> RationalApprox:
 
 def eval_approx(approx: RationalApprox, x):
     """Evaluate the approximant at x >= 0: a float (a real number or a 0-d
-    array counts as one), or a 1-D array evaluated entry by entry to the same
-    values as float calls."""
+    array counts as one), or a 1-D array or a `GridSpec`'s points evaluated
+    entry by entry to the same values as float calls."""
     # the hot case, a float in [0, 1e100] off the exponential regime, takes one
     # chained test; any other valid float skips the argument test and the split
     if type(x) is float and 0.0 <= x <= 1e100 and approx.regime is not _PURE_EXPONENTIAL:

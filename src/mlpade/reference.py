@@ -1,7 +1,7 @@
 """High-accuracy reference evaluator for E_{alpha,beta}(-x) on [0, inf).
 
-`ml_oracle` takes a float or a 1-D array and, by parameter pair and argument,
-one of three evaluations:
+`ml_oracle` takes a float, a 1-D array or a `GridSpec` and, by parameter pair
+and argument, one of three evaluations:
 
 * closed form (erfcx / exp based) for the parameter pairs that admit one,
   and 1/Gamma(beta) at x = 0;
@@ -348,9 +348,10 @@ def ml_closed_form(params: MLParams, x: float) -> float | None:
 
 
 def ml_oracle(params: MLParams, x):
-    """Reference value of E_{alpha,beta}(-x) at x >= 0, a float or a 1-D array:
-    closed form where one exists, 1/Gamma(beta) at x = 0, the asymptotic
-    series once x**(1/alpha) >= 40, else the contour integral."""
+    """Reference value of E_{alpha,beta}(-x) at x >= 0, a float, a 1-D array
+    or a `GridSpec`'s points: closed form where one exists, 1/Gamma(beta) at
+    x = 0, the asymptotic series once x**(1/alpha) >= 40, else the contour
+    integral."""
     evaluate = _CLOSED_FORMS.get(params) or _pair_table(*params)
     if type(x) is float and 0.0 <= x < math.inf:  # the common case skips the test
         return evaluate(x)

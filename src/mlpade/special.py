@@ -107,10 +107,11 @@ def rgamma(x: float) -> float:
 
 def erfcx(x):
     """Scaled complementary error function exp(x^2)*erfc(x), overflow-free, for
-    x in [0, inf]: a float, or a 1-D float array evaluated to the float call's
-    value at every entry. Below 26, exp of x^2 = xh^2 + (x - xh)(x + xh) split
-    exactly (xh on 20 fractional bits, so xh^2 is exact); from 26 up, 8 terms
-    of the asymptotic series in 1/(2x^2), whose 9th term is below 2e-19 there."""
+    x in [0, inf]: a float, or a 1-D float array or a `GridSpec`'s points
+    evaluated to the float call's value at every entry. Below 26, exp of
+    x^2 = xh^2 + (x - xh)(x + xh) split exactly (xh on 20 fractional bits, so
+    xh^2 is exact); from 26 up, 8 terms of the asymptotic series in 1/(2x^2),
+    whose 9th term is below 2e-19 there."""
     x, order = argument(x, "erfcx", finite=False)
     return restore_order(_erfcx(x), order)
 

@@ -22,9 +22,12 @@ before it would show, and its seeded draws as one shuffled, one sorted, one
 strided (every other shuffled draw) and one read-only array, for `ml_oracle`
 and `eval_approx`; `erfcx` records the strided and the read-only array.
 `GridSpec` records the points of the CLI's default grids, of grids to the
-largest double and of grids whose bounds differ by 1e-12 relative. Only
-public names, the one-point views and `mlpade.special.erfcx` are used, so the
-one file records any checkout. Its name keeps it out of pytest's collection;
+largest double and of grids whose bounds differ by 1e-12 relative. Each of
+these grids, and one whose points are out of order, is then passed to
+`ml_oracle` and `eval_approx` of each pair, and one grid to `erfcx`, first
+as a `GridSpec` and then as a copy of its points, so the two records of a
+grid can be compared. Only public names, the one-point views and
+`mlpade.special.erfcx` are used, so the one file records any checkout. Its name keeps it out of pytest's collection;
 `tests/test_public_api.py` records a small sample in-process.
 
 `--cli OUT` records the command line instead: each command of `CLI_COMMANDS`
@@ -98,6 +101,8 @@ GRIDS = [
     (1.0, sys.float_info.max, 5, False), (1e-300, sys.float_info.max, 50, True),
     (1.0, 1.0 + 1e-12, 5, False), (1e-3, 1e-3 * (1.0 + 1e-12), 4, True),
 ]
+# bounds 2 ulps apart, whose interior points round out of order
+UNORDERED_GRID = (2.6975570666160433e-283, 2.6975570666160437e-283, 317, False)
 KINDS = (np.float64, np.float32, np.array, lambda v: np.array([v]))
 
 
@@ -127,6 +132,13 @@ def report_outcome(f, *args) -> str:
         columns + [repr(v) if v is None else float.hex(v) for v in scalars])
 
 
+def _grid_arguments(grids):
+    """(label, argument): each grid as a `GridSpec`, then a copy of its points."""
+    for g in grids:
+        yield repr(g), g
+        yield f"{g!r}.array.copy()", g.array.copy()
+
+
 def _arguments(points):
     """Each point as a float, each edge also as every other kind, and one
     list and one str."""
@@ -152,12 +164,15 @@ def records(seed: int = 1, draws: int = 200):
     arrays["strided"] = arrays["shuffled"][::2]
     arrays["read-only"] = arrays["sorted"].copy()
     arrays["read-only"].setflags(write=False)
+    grids = [ml.GridSpec(*grid) for grid in GRIDS + [UNORDERED_GRID]]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for grid in GRIDS:
             yield "GridSpec", repr(grid), outcome(lambda: ml.GridSpec(*grid).array)
         for name in ("strided", "read-only"):
             yield "erfcx", f"{name} draws", outcome(mlpade.special.erfcx, arrays[name])
+        for label, g in _grid_arguments(grids[3:4]):
+            yield "erfcx", label, outcome(mlpade.special.erfcx, g)
         for pair in PAIRS:
             params = ml.classify(*pair)
             for x in _arguments(xs):
@@ -170,6 +185,8 @@ def records(seed: int = 1, draws: int = 200):
                 yield "ml_oracle", f"{pair}, {x!r} again", outcome(ml.ml_oracle, params, x)
             for name, a in arrays.items():
                 yield "ml_oracle", f"{pair}, {name} draws", outcome(ml.ml_oracle, params, a)
+            for label, g in _grid_arguments(grids):
+                yield "ml_oracle", f"{pair}, {label}", outcome(ml.ml_oracle, params, g)
             for view in ONE_POINT_VIEWS:
                 f = getattr(mlpade.reference, view)
                 for x in _arguments(xs):
@@ -192,6 +209,8 @@ def records(seed: int = 1, draws: int = 200):
                 yield "eval_approx", f"{pair}, {x!r}", outcome(ml.eval_approx, approx, x)
             for name, a in arrays.items():
                 yield "eval_approx", f"{pair}, {name} draws", outcome(ml.eval_approx, approx, a)
+            for label, g in _grid_arguments(grids):
+                yield "eval_approx", f"{pair}, {label}", outcome(ml.eval_approx, approx, g)
             for y in _arguments(ys):
                 args = f"{pair}, {y!r}"
                 yield "inv_pade", args, outcome(ml.inv_pade, params, y)
@@ -262,6 +281,9 @@ CLI_COMMANDS = [
     ("scan", "--alpha", "0.3", "--beta", "0.9", "--grid-min", "1e-300", "--grid-max",
      "1.7976931348623157e308", "--points", "50"),
     ("ode", "--relaxation", "--alpha", "0.3", "--t-grid", "1:1.7976931348623157e308:5"),
+    # a grid whose points are out of order
+    ("scan", "--alpha", "0.3", "--beta", "0.9", "--grid-min", "2.6975570666160433e-283",
+     "--grid-max", "2.6975570666160437e-283", "--points", "317", "--csv", "out.csv"),
 ]
 
 

@@ -54,6 +54,7 @@ STEEP = mlpade.build_approx(mlpade.classify(1.0, 1.0000001))
 EXP = mlpade.build_approx(mlpade.classify(1.0, 1.0))
 RELAX = mlpade.RelaxationSpec(0.3, 1.5, 0.7)
 TWO = mlpade.TwoTermSpec(0.25, 0.75, 0.5)
+GRID = mlpade.GridSpec(100.0, 200.0, 3)
 
 
 BAD_ARGUMENTS = [
@@ -63,6 +64,10 @@ BAD_ARGUMENTS = [
     (lambda: reference.ml_closed_form(HALF, np.array([1.0, 2.0])), "ml_closed_form takes a float, got ndarray"),
     (lambda: reference.ml_taylor(P, np.array([0.5])), "ml_taylor takes a float, got ndarray"),
     (lambda: reference.ml_asymptotic(P, np.array([100.0, 200.0])), "ml_asymptotic takes a float, got ndarray"),
+    # the one-point views refuse a grid, which the array entry points take
+    (lambda: reference.ml_closed_form(HALF, GRID), "ml_closed_form takes a float, got GridSpec"),
+    (lambda: reference.ml_taylor(P, GRID), "ml_taylor takes a float, got GridSpec"),
+    (lambda: reference.ml_asymptotic(P, GRID), "ml_asymptotic takes a float, got GridSpec"),
     (lambda: special.erfcx(math.nan), "erfcx requires x >= 0, got nan"),
     (lambda: special.erfcx(np.array([1.0, math.nan])), "erfcx requires x >= 0, got nan"),
     (lambda: special.erfcx([1.0]), "erfcx takes a float or a 1-D array, got list"),

@@ -22,9 +22,11 @@ from mlpade import (
     inverse_error_scan,
     ml_oracle,
 )
-from mlpade.special import rgamma
+from mlpade.special import erfcx, rgamma
 
 SMALL_GRID = GridSpec(1e-4, 1e4, 400, include_zero=True)
+# bounds 2 ulps apart: 10 to the interior exponents rounds out of order
+UNORDERED_GRID = GridSpec(2.6975570666160433e-283, 2.6975570666160437e-283, 317)
 
 
 def test_grid_validation():
@@ -81,6 +83,44 @@ def test_grid_array_is_built_once_and_read_only():
             assert not np.signbit(g.array).any()
             assert not g.array.flags.writeable
             assert g.points() == g.array.tolist()
+
+
+def test_grid_points_cannot_be_made_writeable():
+    # the points are a view of an immutable bytes copy: a write through them
+    # would change every later scan of the grid, DEFAULT_GRID's included
+    want = np.concatenate(([0.0], np.geomspace(1e-4, 1e4, 4000))).tobytes()
+    for g in (GridSpec(1e-4, 1e4, 4000, include_zero=True), DEFAULT_GRID):
+        with pytest.raises(ValueError):
+            g.array.setflags(write=True)
+        assert not g.array.flags.writeable
+        assert np.array(g.points()).tobytes() == want
+
+
+def _step_cases(step=1.01e-12, n_cases=300, seed=24):
+    """Seeded grids whose exponent step is just above the 1e-12 under which
+    GridSpec tests its points' order, with bounds from the subnormals to near
+    the largest double."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n_cases):
+        n = int(rng.integers(2, 5001)) if i % 3 else 3
+        lo = 10.0 ** (rng.uniform(-310.0, 308.0) if i % 10 else rng.uniform(-323.0, -308.0))
+        # a subnormal bound's next double may lie farther than the step
+        cases.append((lo, max(lo * 10.0 ** (step * (n - 1)), math.nextafter(lo, math.inf)), n))
+    return cases
+
+
+def test_grid_records_whether_its_points_are_in_order():
+    # the verdict, by the exponent step or by the neighbour test, against
+    # every neighbour pair of the points
+    unordered = 0
+    for lo, hi, n in _grid_cases() + _step_cases():
+        for include_zero in (False, True):
+            g = GridSpec(lo, hi, n, include_zero=include_zero)
+            assert g.ordered is bool(np.all(np.diff(g.array) >= 0.0)), (lo, hi, n)
+            unordered += not g.ordered
+    assert unordered == 8
+    assert not UNORDERED_GRID.ordered
 
 
 def test_grid_to_the_largest_double_builds_without_a_warning():
@@ -169,10 +209,12 @@ def test_report_columns_are_read_only_float64_arrays():
 
 def test_report_columns_own_contiguous_memory():
     # a grid without 0 and below the crossover puts the whole oracle column
-    # on the contour, whose values are the real part of complex sums
+    # on the contour, whose values are the real part of complex sums; the x
+    # column of a forward scan is the grid's own points, a view of its bytes
     for report in _reports() + [error_scan(classify(0.3, 0.9), GridSpec(1e-3, 2.0, 31))]:
         for column in report.columns:
-            assert column.flags.c_contiguous and column.flags.owndata
+            assert column.flags.c_contiguous and column.dtype == np.float64
+            assert column.flags.owndata or column is report.grid.array
 
 
 def test_report_samples_are_built_once():
@@ -289,7 +331,7 @@ SCAN_PAIRS = [(0.5, 1.5), (0.5, 1.0), (0.5, 0.5), (1.0, 2.0), (1.0, 1.0)] + [
 @pytest.mark.parametrize("a,b", SCAN_PAIRS)
 def test_scan_matches_per_point_loop(a, b):
     params = classify(a, b)
-    for grid in (SMALL_GRID, CROSSOVER_GRID):
+    for grid in (SMALL_GRID, CROSSOVER_GRID, UNORDERED_GRID):
         report = error_scan(params, grid)
         assert report.samples == _scan_by_point(params, grid)
         assert all(type(v) is float for s in report.samples for v in s)
@@ -318,3 +360,33 @@ def test_error_scan_calls_the_public_entry_points_once(monkeypatch):
         calls.update(eval_approx=0, ml_oracle=0)
         error_scan(classify(a, b), GridSpec(1e-3, 1e3, 31, include_zero=True))
         assert calls == {"eval_approx": 1, "ml_oracle": 1}
+
+
+def _bits(v):
+    return v.dtype, v.shape, v.tobytes()
+
+
+# each closed form, the diagonal (1/2, 1/2) and (1, 1) among them, and a
+# general pair on the contour and the series
+GRID_ARGUMENT_PAIRS = [(0.5, 1.0), (0.5, 1.5), (0.5, 0.5), (1.0, 2.0), (1.0, 1.0), (0.6, 2.0)]
+
+
+@pytest.mark.parametrize("a,b", GRID_ARGUMENT_PAIRS)
+def test_a_grid_argument_is_its_points(a, b):
+    params = classify(a, b)
+    approx = build_approx(params)
+    for lo, hi, n in _grid_cases():
+        for include_zero in (False, True):
+            g = GridSpec(lo, hi, n, include_zero=include_zero)
+            xs = g.array.copy()
+            assert xs.flags.writeable
+            for f, arg in [(ml_oracle, params), (eval_approx, approx)]:
+                assert _bits(f(arg, g)) == _bits(f(arg, xs)), (f.__name__, lo, hi, n, include_zero)
+            assert g.array.tobytes() == xs.tobytes()
+
+
+def test_erfcx_takes_a_grid_as_its_points():
+    for lo, hi, n in _grid_cases():
+        for include_zero in (False, True):
+            g = GridSpec(lo, hi, n, include_zero=include_zero)
+            assert _bits(erfcx(g)) == _bits(erfcx(g.array.copy())), (lo, hi, n)
