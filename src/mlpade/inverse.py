@@ -16,8 +16,8 @@ does.
 import math
 
 from .errors import DomainError, ResultOverflowError
-from .pade import _PURE_EXPONENTIAL, RationalApprox, build_approx
-from .params import MLParams, convert
+from .pade import RationalApprox, build_approx
+from .params import _PURE_EXPONENTIAL, MLParams, convert
 
 __all__ = ["inv_pade", "inv_pade_from_approx"]
 

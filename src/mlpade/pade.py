@@ -20,7 +20,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConstructionError
-from .params import _PAIR_MEMO_SIZE, MLParams, Regime, argument, restore_order
+from .params import (
+    _ALPHA_ONE,
+    _APPROX_MEMO_SIZE,
+    _DIAGONAL,
+    _PURE_EXPONENTIAL,
+    MLParams,
+    Regime,
+    argument,
+    restore_order,
+)
 from .special import gamma, libm, piecewise, rgamma
 
 __all__ = ["RationalApprox", "build_approx", "eval_approx"]
@@ -28,9 +37,6 @@ __all__ = ["RationalApprox", "build_approx", "eval_approx"]
 # for alpha = beta, d1 carries rgamma(1 - 2*alpha), which turns negative past 1/2
 _DIAGONAL_HINT = "; the diagonal approximant needs alpha <= 1/2"
 
-# the regime test of eval_approx and inv_pade_from_approx; an attribute lookup
-# on the Enum class would cost about 0.1 us, a third of a float evaluation
-_PURE_EXPONENTIAL = Regime.PURE_EXPONENTIAL
 _RESCALED_FROM = (math.nextafter(1e100, math.inf),)  # the bound of `_rescaled`
 
 
@@ -50,7 +56,7 @@ class RationalApprox:
     regime: Regime
 
     def __post_init__(self):
-        if self.regime is Regime.PURE_EXPONENTIAL:
+        if self.regime is _PURE_EXPONENTIAL:
             return
         # A' = ((n1 - n0*d1) - 2*n0*d2*x - n1*d2*x^2) / D(x)^2, so these signs
         # make A positive and nonincreasing on [0, inf); d1 >= n1/n0 >= 0 also
@@ -61,7 +67,7 @@ class RationalApprox:
                 "approximant is not positive and nonincreasing on [0, inf): "
                 "need n0 > 0, n1 >= 0, d2 > 0 and n1 <= n0*d1, got "
                 f"(n0={n0!r}, n1={n1!r}, d1={d1!r}, d2={d2!r})"
-                + (_DIAGONAL_HINT if self.regime is Regime.DIAGONAL else "")
+                + (_DIAGONAL_HINT if self.regime is _DIAGONAL else "")
             )
 
     def _direct(self, x):
@@ -73,18 +79,20 @@ class RationalApprox:
         return (self.n0 / x + self.n1) / ((1.0 / x + self.d1) / x + self.d2) / x
 
 
-@functools.lru_cache(maxsize=_PAIR_MEMO_SIZE)
+@functools.lru_cache(maxsize=_APPROX_MEMO_SIZE)
 def build_approx(params: MLParams) -> RationalApprox:
     """Assemble the unified rational form for the regime of `params`.
 
-    Memoised per `params` (the last 128 pairs): the returned approximant is
+    Memoised per `params` (the last 1024 pairs, a bound of its own: an
+    approximant takes a tenth of the memory of an oracle entry, so a sweep
+    over hundreds of pairs builds each once): the returned approximant is
     immutable and shared between callers. A failed construction is not
     memoised and raises again on the next call."""
     a, b = params.alpha, params.beta
     regime = params.regime
-    if regime is Regime.PURE_EXPONENTIAL:
+    if regime is _PURE_EXPONENTIAL:
         return RationalApprox(1.0, 0.0, 0.0, 0.0, regime)
-    if regime is Regime.DIAGONAL:
+    if regime is _DIAGONAL:
         n0 = rgamma(a)
         ga1 = a * gamma(a)  # Gamma(1 + a); gives d2 = 2 exactly at a = 1/2
         d1 = 2.0 * gamma(1.0 - a) ** 2 * rgamma(1.0 - 2.0 * a) / ga1
@@ -96,7 +104,7 @@ def build_approx(params: MLParams) -> RationalApprox:
             f"Gamma(beta + alpha) = Gamma({b + a!r}) overflows a double for "
             f"alpha={a}, beta={b}; beta + alpha must stay below 171.62"
         )
-    if regime is Regime.ALPHA_ONE:
+    if regime is _ALPHA_ONE:
         return RationalApprox(
             rgamma(b), rgamma(b + 1.0), 2.0 / b, 1.0 / (b * (b - 1.0)), regime
         )
@@ -106,7 +114,9 @@ def build_approx(params: MLParams) -> RationalApprox:
     # n1 = d2/Gamma(b-a). Log-convexity gives g > p and t > 0, both gaps
     # shrinking like alpha^2; g - p > 1e-14 p is |Gamma(b+a)Gamma(b-a) -
     # Gamma(b)^2| >= 1e-14 Gamma(b)^2, and at tiny alpha rounding can still
-    # leave t <= 0
+    # leave t <= 0. n0 = 1/gb is rgamma(b) bit for bit: b > 0, and Gamma(b)
+    # is finite, as Gamma(b + a) is, or inf below b = 5.6e-309, where both
+    # give 0
     gb, gbm = gamma(b), gamma(b - a)
     g, p = gbm / gb, gb / gbp
     t = 1.0 - g * gbm * rgamma(b - 2.0 * a)
@@ -116,7 +126,7 @@ def build_approx(params: MLParams) -> RationalApprox:
         )
     u = (g - p) / t
     d2 = g * u
-    return RationalApprox(rgamma(b), d2 / gbm, u + p, d2, regime)
+    return RationalApprox(1.0 / gb, d2 / gbm, u + p, d2, regime)
 
 
 def eval_approx(approx: RationalApprox, x):

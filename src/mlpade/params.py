@@ -20,13 +20,23 @@ from .errors import DomainError, ParameterDomainError
 
 __all__ = ["Regime", "MLParams", "classify", "GridSpec", "convert", "argument", "restore_order"]
 
-# the bound of each per-pair memo (build_approx's approximants, the oracle's
-# pair entries): a caller evaluates, inverts or scans one pair many times, and
-# each entry depends on (alpha, beta) alone. Scans of 93 pairs in turn never
-# hit a memo of 32. An entry in both memos takes about 4 KB: the first 128
-# pairs of scan-grid's pools (seeds 1 to 3), each scanned once, with series
-# tables of up to 241 terms, held 517 KB
+# the bounds of the two per-pair memos, the oracle's pair entries
+# (`reference._pair_table`) and build_approx's approximants: a caller
+# evaluates, inverts or scans one pair many times, and each entry depends on
+# (alpha, beta) alone. A sweep that cycles through more pairs than a memo's
+# bound never hits it, so each bound is set by the memory its entries take.
+# An oracle entry takes about 4 KB: the first 128 pairs of scan-grid's pools
+# (seeds 1 to 3), each scanned once, with series tables of up to 241 terms,
+# held 517 KB. Scans of 93 pairs in turn never hit a memo of 32
 _PAIR_MEMO_SIZE = 128
+# An approximant entry takes about 0.44 KB: a full memo of 1024 held 446 KB
+# (tracemalloc; each pair classified by the caller and dropped, so an entry is
+# the MLParams key and its floats, the RationalApprox and its four, and the
+# cache's link and table slot). The oracle memo's 517 KB would hold about 1180
+# of them, and the power of two below that is the bound. approx-hot builds
+# 363 or 364 pairs per pass (its 357 request pairs and the ODE solutions'
+# pairs), which a bound of 128 missed on every pass
+_APPROX_MEMO_SIZE = 1024
 
 
 class Regime(enum.Enum):
@@ -35,6 +45,16 @@ class Regime(enum.Enum):
     DIAGONAL = "diagonal"             # 0 < alpha = beta < 1
     ALPHA_ONE = "alpha_one"           # alpha = 1, beta > 1
     PURE_EXPONENTIAL = "exponential"  # alpha = beta = 1
+
+
+# the regimes as module constants for the regime tests of the hot paths; an
+# attribute lookup on the Enum class would cost about 0.1 us, a third of a
+# float evaluation
+_GENERAL_SUB = Regime.GENERAL_SUB
+_BETA_ONE = Regime.BETA_ONE
+_DIAGONAL = Regime.DIAGONAL
+_ALPHA_ONE = Regime.ALPHA_ONE
+_PURE_EXPONENTIAL = Regime.PURE_EXPONENTIAL
 
 
 class _Pair(NamedTuple):
@@ -69,10 +89,10 @@ class MLParams(_Pair):
         """The pair's unique regime, from the pair alone."""
         alpha, beta = self
         if alpha == 1.0:
-            return Regime.PURE_EXPONENTIAL if beta == 1.0 else Regime.ALPHA_ONE
+            return _PURE_EXPONENTIAL if beta == 1.0 else _ALPHA_ONE
         if beta == alpha:
-            return Regime.DIAGONAL
-        return Regime.BETA_ONE if beta == 1.0 else Regime.GENERAL_SUB
+            return _DIAGONAL
+        return _BETA_ONE if beta == 1.0 else _GENERAL_SUB
 
 
 def classify(alpha: float, beta: float) -> MLParams:

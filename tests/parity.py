@@ -26,7 +26,9 @@ largest double and of grids whose bounds differ by 1e-12 relative. Each of
 these grids, and one whose points are out of order, is then passed to
 `ml_oracle` and `eval_approx` of each pair, and one grid to `erfcx`, first
 as a `GridSpec` and then as a copy of its points, so the two records of a
-grid can be compared. Only public names, the one-point views and
+grid can be compared. `build_approx` records each pair's regime and the
+`float.hex` of n0, n1, d1 and d2, for `PAIRS` and for seeded pairs at the
+construction's edges (`approx_pairs`). Only public names, the one-point views and
 `mlpade.special.erfcx` are used, so the one file records any checkout. Its name keeps it out of pytest's collection;
 `tests/test_public_api.py` records a small sample in-process.
 
@@ -54,6 +56,7 @@ import mlpade.special
 
 ENTRY_POINTS = (
     "GridSpec",
+    "build_approx",
     "error_scan",
     "eval_approx",
     "inv_pade",
@@ -116,6 +119,39 @@ def outcome(f, *args) -> str:
     if isinstance(v, np.ndarray):
         return "ndarray " + " ".join(map(float.hex, v.tolist()))
     return f"{type(v).__name__} {float(v).hex()}"
+
+
+def approx_outcome(pair) -> str:
+    """The approximant of a pair: its regime and the `float.hex` of n0, n1, d1
+    and d2; or the error's class and message."""
+    try:
+        a = ml.build_approx(ml.classify(*pair))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"RationalApprox {a.regime.value} " + " ".join(
+        map(float.hex, (a.n0, a.n1, a.d1, a.d2)))
+
+
+def approx_pairs(rng, n: int):
+    """n seeded pairs from each family the construction treats apart: the five
+    regimes (the diagonal past 1/2 too), b - a from 1 down to 1e-12, alpha
+    down to 1e-10 (where the matching conditions degenerate), b - 2a at the
+    poles 0 and near -1 of rgamma(b - 2a), and b + a around Gamma's overflow
+    at 171.62."""
+    u = lambda lo, hi: rng.uniform(lo, hi, n).tolist()
+    near_one = (1.0 - 10.0 ** rng.uniform(-12.0, -1.0, n)).tolist()
+    return (
+        [(a, a + 10.0 ** e) for a, e in zip(u(0.01, 1.0), u(-3.0, 2.2))]
+        + [(a, 1.0) for a in u(0.01, 1.0)]
+        + [(a, a) for a in u(1e-3, 1.0)]
+        + [(1.0, b) for b in u(1.0, 171.0)]
+        + [(a, a + 10.0 ** e) for a, e in zip(u(0.01, 1.0), u(-12.0, 0.0))]
+        + [(10.0 ** e, b) for e, b in zip(u(-10.0, -2.0), u(0.5, 3.0))]
+        + [(a, 2.0 * a) for a in u(0.01, 1.0)]
+        + [(a, math.nextafter(a, 2.0) + 10.0 ** e) for a, e in zip(near_one, u(-14.0, -2.0))]
+        + [(a, 171.62 - a + d) for a, d in zip(u(0.01, 1.0), u(-0.02, 0.02))]
+        + [(1.0, 1.0)]
+    )
 
 
 def report_outcome(f, *args) -> str:
@@ -228,6 +264,9 @@ def records(seed: int = 1, draws: int = 200):
                 args = f"{s}, {t!r}"
                 yield "two_term_pade", args, outcome(ml.two_term_pade, spec, t)
                 yield "two_term_exact", args, outcome(ml.two_term_exact, spec, t)
+        # last, from a stream of their own, so the records above keep their draws
+        for pair in PAIRS + approx_pairs(np.random.default_rng([seed, 2]), max(draws // 4, 1)):
+            yield "build_approx", repr(pair), approx_outcome(pair)
 
 
 ODE_RELAX = ("ode", "--relaxation", "--alpha", "0.4", "--t-grid", "0.1:10:5")

@@ -1,7 +1,9 @@
 """Tests for approximant construction and evaluation."""
 
 import math
+import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +18,10 @@ from mlpade import (
     build_approx,
     classify,
     eval_approx,
+    inv_pade,
     ml_oracle,
 )
-from mlpade.params import _PAIR_MEMO_SIZE
+from mlpade.params import _APPROX_MEMO_SIZE, _PAIR_MEMO_SIZE
 from mlpade.reference import _pair_table
 from mlpade.special import gamma, rgamma
 from paper_formulas import coeffs_from_closed_form, solve_hermite_pade
@@ -368,19 +371,65 @@ def test_failed_construction_is_not_memoised(a, b):
             build_approx(classify(a, b))
 
 
-@pytest.mark.parametrize("memo, fill", [
-    (build_approx, build_approx),
-    (_pair_table, lambda params: ml_oracle(params, 1e4)),  # the series' coefficient tables
-    (_pair_table, lambda params: ml_oracle(params, 1.0)),  # the contour's node vectors
+@pytest.mark.parametrize("memo, fill, bound", [
+    (build_approx, build_approx, _APPROX_MEMO_SIZE),
+    # the series' coefficient tables
+    (_pair_table, lambda params: ml_oracle(params, 1e4), _PAIR_MEMO_SIZE),
+    # the contour's node vectors
+    (_pair_table, lambda params: ml_oracle(params, 1.0), _PAIR_MEMO_SIZE),
 ], ids=["build_approx", "series_table", "contour_nodes"])
-def test_per_pair_memo_is_bounded(memo, fill):
-    bound = memo.cache_info().maxsize
-    assert bound == _PAIR_MEMO_SIZE
+def test_per_pair_memo_is_bounded(memo, fill, bound):
+    assert memo.cache_info().maxsize == bound
     memo.cache_clear()  # so that the fill alone must bring the memo to its bound
     for k in range(bound + 50):
         fill(classify(0.5, 2.0 + k / 64.0))
         assert memo.cache_info().currsize <= bound
     assert memo.cache_info().currsize == bound
+
+
+# what 128 oracle entries held (the memo comment in mlpade.params), the
+# budget a full approximant memo is held to
+_ORACLE_MEMO_BYTES = 517_000
+
+
+def test_full_approximant_memo_stays_under_the_oracle_memo_budget():
+    build_approx.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(_APPROX_MEMO_SIZE):  # each pair made here and kept by the memo alone
+            build_approx(classify(0.5, 2.0 + k / 64.0))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert build_approx.cache_info().currsize == _APPROX_MEMO_SIZE
+    assert held < _ORACLE_MEMO_BYTES, held
+
+
+def _sweep_pairs(n, seed):
+    """n distinct seeded pairs that build, from all five regimes."""
+    rng = random.Random(seed)
+    pairs = {(1.0, 1.0)}
+    while len(pairs) < n:
+        a = rng.uniform(0.05, 0.95)
+        pairs.add(rng.choice([
+            (a, a + rng.uniform(0.01, 10.0)),  # general
+            (a, 1.0),
+            (a / 2.0, a / 2.0),  # the diagonal builds up to alpha = 1/2
+            (1.0, 1.0 + rng.uniform(0.01, 10.0)),
+        ]))
+    return [classify(a, b) for a, b in sorted(pairs)]
+
+
+def test_sweep_longer_than_the_oracle_memo_builds_each_approximant_once():
+    pairs = _sweep_pairs(300, seed=7)
+    assert {p.regime for p in pairs} == set(Regime)
+    for _ in range(2):
+        misses = build_approx.cache_info().misses
+        for params in pairs:
+            inv_pade(params, 0.5 * rgamma(params.beta))
+    # the second pass finds every approximant the first one built
+    assert build_approx.cache_info().misses == misses
 
 
 # b from 72, where forming Gamma(b)^2 would overflow, up to Gamma(b + a)'s
