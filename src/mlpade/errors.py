@@ -20,9 +20,9 @@ class NonConvergenceError(MLPadeError, ArithmeticError):
 
 class ConstructionError(MLPadeError, ArithmeticError):
     """An approximant cannot be built: its matching conditions are degenerate,
-    its coefficients overflow, or they break the invariant n0 > 0, n1 >= 0,
-    d2 > 0, n1 <= n0*d1 that makes (n0 + n1*x)/(1 + d1*x + d2*x^2) positive
-    and nonincreasing on [0, inf)."""
+    rounding would swamp its coefficients, they overflow, or they break the
+    invariant n0 > 0, n1 >= 0, d2 > 0, n1 <= n0*d1 that makes
+    (n0 + n1*x)/(1 + d1*x + d2*x^2) positive and nonincreasing on [0, inf)."""
 
 
 class ResultOverflowError(MLPadeError, OverflowError):

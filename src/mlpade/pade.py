@@ -112,11 +112,12 @@ def build_approx(params: MLParams) -> RationalApprox:
     # ratios g = Gamma(b-a)/Gamma(b) and p = Gamma(b)/Gamma(b+a), with
     # t = 1 - g Gamma(b-a)/Gamma(b-2a): d2 = g (g-p)/t, d1 = (g-p)/t + p and
     # n1 = d2/Gamma(b-a). Log-convexity gives g > p and t > 0, both gaps
-    # shrinking like alpha^2; g - p > 1e-14 p is |Gamma(b+a)Gamma(b-a) -
-    # Gamma(b)^2| >= 1e-14 Gamma(b)^2, and at tiny alpha rounding can still
-    # leave t <= 0. n0 = 1/gb is rgamma(b) bit for bit: b > 0, and Gamma(b)
-    # is finite, as Gamma(b + a) is, or inf below b = 5.6e-309, where both
-    # give 0
+    # shrinking like alpha^2 psi'(b), while each Gamma value carries a few ulps
+    # and its argument's rounding through psi(b) ~ ln(b). So the first test
+    # refuses gaps that rounding has closed, the second a relative error of
+    # the coefficients, about eps b^2 (8 + ln max(b, 1))/alpha^2, above 1e-6.
+    # n0 = 1/gb is rgamma(b) bit for bit: b > 0, and Gamma(b) is finite, as
+    # Gamma(b + a) is, or inf below b = 5.6e-309, where both give 0
     gb, gbm = gamma(b), gamma(b - a)
     g, p = gbm / gb, gb / gbp
     t = 1.0 - g * gbm * rgamma(b - 2.0 * a)
@@ -124,6 +125,10 @@ def build_approx(params: MLParams) -> RationalApprox:
         raise ConstructionError(
             f"coefficient denominator degenerate for alpha={a}, beta={b}"
         )
+    err = 2.2e-16 * b * b * (8.0 + math.log(max(b, 1.0))) / (a * a)
+    if err > 1e-6:
+        raise ConstructionError(f"coefficients swamped by rounding for alpha={a}, beta={b}: "
+                                f"estimated relative error {err:.2g} > 1e-6")
     u = (g - p) / t
     d2 = g * u
     return RationalApprox(1.0 / gb, d2 / gbm, u + p, d2, regime)

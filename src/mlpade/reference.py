@@ -27,17 +27,17 @@ and argument, one of three evaluations:
 Accuracy target: absolute error <= 1e-10 below x**(1/alpha) = 40, relative
 error <= 1e-6 beyond it.
 
-An array is evaluated in one pass and in non-decreasing order, each entry
-equal to the float call bit for bit, into a C-contiguous float64 array of its
-own: every range switch is one call of
-`special.piecewise`, which cuts the ordered array into contiguous slices.
-Each closed form is one expression of a float or an array, built from
-`piecewise` and `special.libm`. Any other pair has its own oracle, an entry of
-a memo of the last 128 pairs that holds 40**alpha, 1/Gamma(beta), the route
-and two array kernels, the contour below 40**alpha and the series from it;
-a float is the one-entry case. Each kernel keeps its x-independent part
-in the entry: the series' coefficients and term counts, rebuilt from the
-first term when a call needs more terms than the table holds, so that no
+Each pair's route is one table, (bounds, pieces), that `special.piecewise`
+runs on a float and on an array alike: pieces[i] holds on [bounds[i-1],
+bounds[i]). A closed form's table is a row of `_CLOSED_FORMS`, each piece an
+expression of a float or an array built from `special.libm`. Any other pair's
+table is ((5e-324, 40**alpha), (1/Gamma(beta), contour, series)), an entry of
+a memo of the last 128 pairs, and its two kernels run a float on a one-entry
+array. An array is evaluated in one pass and in non-decreasing order, each
+range a contiguous slice, each entry equal to the float call bit for bit,
+into a C-contiguous float64 array of its own. Each kernel keeps its
+x-independent part: the series' coefficients and term counts, rebuilt from
+the first term when a call needs more terms than the table holds, so that no
 value depends on the calls before it, and the integrand's two powers of u on
 the contour's nodes, built on the first contour call. The series' exponents
 -k are one constant.
@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 from .params import _PAIR_MEMO_SIZE, MLParams, argument, restore_order
-from .special import _erfcx, erfcx_series_tail, libm, piecewise, rgamma
+from .special import _ERFCX, _SQRT_PI, _erfcx, erfcx_series_tail, libm, piecewise, rgamma
 
 __all__ = [
     "ml_taylor",
@@ -63,7 +63,6 @@ __all__ = [
 ]
 
 _LN_PI = math.log(math.pi)
-_SQRT_PI = math.sqrt(math.pi)
 _RGAMMA_HALF = rgamma(0.5)
 _RGAMMA_THREE_HALVES = rgamma(1.5)
 # Gamma overflows a little above this argument
@@ -133,11 +132,12 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-class _PairOracle:
-    """The oracle of one (alpha, beta): its route, called on a checked float
-    or 1-D array in non-decreasing order, and its two kernels with their
-    x-independent parts. An array's entries 0 < x < 40**alpha (>= 1) go to
-    `contour` and x >= 40**alpha to `series`, each as one contiguous slice.
+class _PairKernels:
+    """The two kernels of one (alpha, beta), each called on a float > 0, which
+    it runs on a one-entry array, or on an ordered array of them, with their
+    x-independent parts: `contour`, for x < 40**alpha, and `series`, from it.
+    The pair's route holds the two bound methods, so an entry refers to its
+    kernels and they never to it, and an evicted entry is freed at once.
 
     `table`, for `series`, is built as far as calls have needed it: three
     read-only arrays, the coefficients of terms 0..K (term 0's is 0), and the
@@ -151,20 +151,6 @@ class _PairOracle:
 
     def __init__(self, alpha: float, beta: float):
         self.alpha, self.beta = alpha, beta
-        self.cutoff = _ASYM_CUTOFF**alpha
-        self.origin = rgamma(beta)
-
-    def __call__(self, x):
-        # a float runs its kernel on a one-entry array, without the split below
-        if type(x) is float:
-            if x == 0.0:
-                return self.origin
-            kernel = self.series if x >= self.cutoff else self.contour
-            return float(kernel(np.array([x]))[0])
-        # an array wholly on the contour gets the contour's values, a strided
-        # view into its complex sums: copied into an array of its own
-        return np.ascontiguousarray(
-            piecewise(x, (5e-324, self.cutoff), (self.origin, self.contour, self.series)))
 
     def cover(self, l_lo: float, l_hi: float) -> tuple:
         """The table, built from its first term until max(rise, l_lo) >
@@ -221,8 +207,8 @@ class _PairOracle:
         table = self.table = _read_only(np.concatenate([[0.0], coef]), breaks, counts)
         return table
 
-    def series(self, x: np.ndarray) -> np.ndarray:
-        """-sum_{k>=1} (-x)^{-k} / Gamma(beta - alpha*k) at each entry of the ordered x > 0.
+    def series(self, x):
+        """-sum_{k>=1} (-x)^{-k} / Gamma(beta - alpha*k) at x > 0.
 
         With l = ln(x), term k's log-magnitude envelope is e_k - k*l, where e_k
         is -lgamma(z) for z = beta - alpha*k >= 1/2 and lgamma(1 - z) - ln(pi)
@@ -238,6 +224,9 @@ class _PairOracle:
         rebuilt, longer, only when an entry runs off its end, and a call sums
         with the table it was handed.
         """
+        scalar = type(x) is float
+        if scalar:
+            x = np.array([x])
         ls = np.log(x)
         table = self.table
         n_terms, n_max = _term_counts(table, ls)
@@ -249,23 +238,33 @@ class _PairOracle:
         terms = np.power(x[:, None], _NEG_K[:k])
         terms *= table[0][:k]
         np.add.accumulate(terms, axis=1, out=terms)
-        return terms[np.arange(x.size), n_terms]
+        out = terms[np.arange(x.size), n_terms]
+        return float(out[0]) if scalar else out
 
     @functools.cached_property
     def nodes(self) -> tuple:
         return np.exp((self.alpha - self.beta) * _LOG_U), np.exp(self.alpha * _LOG_U)
 
-    def contour(self, x: np.ndarray) -> np.ndarray:
-        """E_{alpha,beta}(-x) by the Talbot contour integral at every entry of
-        x; for x**(1/alpha) < 40."""
+    def contour(self, x):
+        """E_{alpha,beta}(-x) by the Talbot contour integral at x, for
+        x**(1/alpha) < 40; an array's values in an array of their own."""
+        scalar = type(x) is float
+        if scalar:
+            x = np.array([x])
         num, den = self.nodes
         g = num / (den + x[:, None])
         # each row summed on its own, in one fixed order, so that an entry does not
         # depend on the rows around it; a matrix product (BLAS) would not ensure it
-        return np.einsum("ij,j->i", g, _WEIGHTS).real
+        out = np.einsum("ij,j->i", g, _WEIGHTS).real
+        return float(out[0]) if scalar else np.ascontiguousarray(out)
 
 
-_pair_table = functools.lru_cache(maxsize=_PAIR_MEMO_SIZE)(_PairOracle)
+@functools.lru_cache(maxsize=_PAIR_MEMO_SIZE)
+def _pair_table(alpha: float, beta: float) -> tuple:
+    """(bounds, pieces) of a pair without a closed form: 1/Gamma(beta) at
+    x = 0, the contour below 40**alpha and the series from it."""
+    kernels = _PairKernels(alpha, beta)
+    return (5e-324, _ASYM_CUTOFF**alpha), (rgamma(beta), kernels.contour, kernels.series)
 
 
 def _term_counts(table: tuple, ls: np.ndarray):
@@ -280,22 +279,18 @@ def ml_asymptotic(params: MLParams, x: float) -> float:
     series. Raises DomainError below its crossover 40**alpha, and at (1, 1),
     where every term is 0."""
     x, _ = argument(x, "ml_asymptotic", array=False)
-    entry = _pair_table(*params)
-    if x < entry.cutoff:
+    (_, cutoff), (_, _, series) = _pair_table(*params)
+    if x < cutoff:
         raise DomainError(
-            f"ml_asymptotic requires x >= the crossover 40**alpha = {entry.cutoff!r}, got {x!r}")
+            f"ml_asymptotic requires x >= the crossover 40**alpha = {cutoff!r}, got {x!r}")
     if params == (1.0, 1.0):  # every coefficient 1/Gamma(1 - k) is 0
         raise DomainError("ml_asymptotic at (alpha, beta) = (1, 1): the algebraic series is "
                           "identically zero, while E_{1,1}(-x) = exp(-x) > 0; use ml_oracle")
-    return entry(x)
+    return series(x)
 
 
 def _exp_neg(x):
     return libm(x).exp(-x)
-
-
-def _half_three_halves(x):
-    return piecewise(x, (5e-324, 0.5), (_RGAMMA_THREE_HALVES, _h32_near, _h32_far))
 
 
 def _h32_near(x):
@@ -308,10 +303,6 @@ def _h32_far(x):
     return (1.0 - _erfcx(x)) / x
 
 
-def _half_half(x):
-    return piecewise(x, (26.0,), (_hh_near, _hh_far))
-
-
 def _hh_near(x):
     return _RGAMMA_HALF - x * _erfcx(x)
 
@@ -321,21 +312,17 @@ def _hh_far(x):
     return erfcx_series_tail(x) / _SQRT_PI
 
 
-def _one_two(x):
-    return piecewise(x, (5e-324,), (1.0, _one_two_nonzero))
-
-
 def _one_two_nonzero(x):
     return -libm(x).expm1(-x) / x
 
 
-# the pairs with an erfcx/exp closed form, each one expression of x
+# the (bounds, pieces) of the pairs with an erfcx/exp closed form
 _CLOSED_FORMS = {
-    (0.5, 1.0): _erfcx,
-    (0.5, 1.5): _half_three_halves,
-    (0.5, 0.5): _half_half,
-    (1.0, 1.0): _exp_neg,
-    (1.0, 2.0): _one_two,
+    (0.5, 1.0): _ERFCX,
+    (0.5, 1.5): ((5e-324, 0.5), (_RGAMMA_THREE_HALVES, _h32_near, _h32_far)),
+    (0.5, 0.5): ((26.0,), (_hh_near, _hh_far)),
+    (1.0, 1.0): ((), (_exp_neg,)),
+    (1.0, 2.0): ((5e-324,), (1.0, _one_two_nonzero)),
 }
 
 
@@ -343,8 +330,8 @@ def ml_closed_form(params: MLParams, x: float) -> float | None:
     """Exact value for the parameter pairs with an erfcx/exp closed form,
     else None."""
     x, _ = argument(x, "ml_closed_form", array=False)
-    closed = _CLOSED_FORMS.get(params)
-    return None if closed is None else closed(x)
+    route = _CLOSED_FORMS.get(params)
+    return None if route is None else piecewise(x, route[0], route[1])
 
 
 def ml_oracle(params: MLParams, x):
@@ -352,8 +339,8 @@ def ml_oracle(params: MLParams, x):
     or a `GridSpec`'s points: closed form where one exists, 1/Gamma(beta) at
     x = 0, the asymptotic series once x**(1/alpha) >= 40, else the contour
     integral."""
-    evaluate = _CLOSED_FORMS.get(params) or _pair_table(*params)
+    bounds, pieces = _CLOSED_FORMS.get(params) or _pair_table(*params)
     if type(x) is float and 0.0 <= x < math.inf:  # the common case skips the test
-        return evaluate(x)
+        return piecewise(x, bounds, pieces)
     x, order = argument(x, "ml_oracle")
-    return restore_order(evaluate(x), order)
+    return restore_order(piecewise(x, bounds, pieces), order)

@@ -4,12 +4,13 @@ Everything downstream routes reciprocal-gamma factors through :func:`rgamma`
 so that parameter combinations hitting poles of Gamma produce an exact zero
 instead of an overflow or NaN; past Gamma's overflow it returns 0 as well.
 
-`erfcx` and the closed forms are each one expression of a float or a 1-D
-array in non-decreasing order: `piecewise` picks a float's range or cuts the
-array into one slice per range, and `libm(x)` is `math` itself for a float
-and, for an array, each `math` function mapped over the entries (`libm_map`),
-so every entry equals the float call bit for bit. numpy's own exp and expm1
-run SIMD loops whose last bits differ from libm's.
+`erfcx` and the closed forms are each one (bounds, pieces) table of
+expressions of a float or a 1-D array in non-decreasing order: `piecewise`
+picks a float's range or cuts the array into one slice per range, and
+`libm(x)` is `math` itself for a float and, for an array, each `math`
+function mapped over the entries (`libm_map`), so every entry equals the
+float call bit for bit. numpy's own exp and expm1 run SIMD loops whose last
+bits differ from libm's.
 """
 
 import math
@@ -61,9 +62,11 @@ def libm(x):
 
 def piecewise(x, bounds, pieces):
     """pieces[i], a function of x or a constant, at x in [bounds[i-1],
-    bounds[i]) for increasing bounds. A float picks its piece by bisection, as
+    bounds[i]) for increasing bounds: one (bounds, pieces) table, one route
+    for a float and an array alike. A float picks its piece by bisection, as
     do an array's two ends, in non-decreasing order: one piece runs on the
-    whole array, more on the contiguous slices that one searchsorted cuts."""
+    whole array, more on the contiguous slices that one searchsorted cuts.
+    Pass a table unpacked: a call with *table is not inlined (0.1 us more)."""
     if type(x) is float:
         f = pieces[bisect_right(bounds, x)]
         return f(x) if callable(f) else f
@@ -118,7 +121,7 @@ def erfcx(x):
 
 def _erfcx(x):
     # erfcx of a checked argument, for the closed forms
-    return piecewise(x, (26.0,), (_erfcx_near, _erfcx_far))
+    return piecewise(x, _ERFCX[0], _ERFCX[1])
 
 
 def _erfcx_near(x):
@@ -129,6 +132,9 @@ def _erfcx_near(x):
 
 def _erfcx_far(x):
     return (1.0 - erfcx_series_tail(x)) / _SQRT_PI / x
+
+
+_ERFCX = ((26.0,), (_erfcx_near, _erfcx_far))  # erfcx's (bounds, pieces)
 
 
 def erfcx_series_tail(x):

@@ -13,9 +13,11 @@ point and the oracle's three one-point views in `mlpade.reference`, each kind of
 argument (float, np.float64, np.float32, 0-d array, 1-D array, list, str),
 the edges of the admission tests (0, -0, subnormals, the smallest normal and
 its neighbour, 1e100 and its successor, 1e300, the largest double, +-inf,
-nan, -1, and the inverse's n0 edges), seeded log-uniform draws, the
-relaxation prefactors, valid and not, and each pair's `error_scan` and
-`inverse_error_scan` reports on small grids. Each pair's points past the
+nan, -1, and the inverse's n0 edges), every bound of the oracle's route
+tables and the double below it (0.5, 26 and each pair's crossover
+40**alpha), seeded log-uniform draws, the relaxation prefactors, valid and
+not, and each pair's `error_scan` and `inverse_error_scan` reports on small
+grids. Each pair's points past the
 oracle's crossover x**(1/alpha) = 40 are then recorded again, as one array and as
 floats from the largest down, so that a value which depended on the calls
 before it would show, and its seeded draws as one shuffled, one sorted, one
@@ -91,11 +93,14 @@ TWO_TERM_SPECS = [
 PREFACTORS = ("paper", "standard", "classical", ["paper"])
 
 TINY = 2.2250738585072014e-308
+# the admission edges, and each bound of the oracle's route tables with the
+# double below it: 0.5 and 26 of the closed forms, each pair's crossover 40**alpha
 EDGES = [
-    0.0, -0.0, 5e-324, 1e-310, math.nextafter(TINY, 0.0), TINY, 1e-3, 0.5, 1.0,
-    26.0, 40.0, 1e100, math.nextafter(1e100, math.inf), 1e300, sys.float_info.max,
+    0.0, -0.0, 5e-324, 1e-310, math.nextafter(TINY, 0.0), TINY, 1e-3,
+    math.nextafter(0.5, 0.0), 0.5, 1.0, math.nextafter(26.0, 0.0), 26.0,
+    1e100, math.nextafter(1e100, math.inf), 1e300, sys.float_info.max,
     math.inf, -math.inf, math.nan, -1.0,
-]
+] + [v for a in sorted({a for a, _ in PAIRS}) for v in (math.nextafter(40.0**a, 0.0), 40.0**a)]
 SCAN_GRID = ml.GridSpec(1e-3, 1e3, 30, include_zero=True)
 # GridSpec arguments: the grids of `scan` and `ode --t-grid` by default, two
 # grids to the largest double and one whose bounds differ by 1e-12 relative

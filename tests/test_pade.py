@@ -5,6 +5,7 @@ import random
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -479,3 +480,41 @@ def test_gamma_overflow_is_a_construction_error(a, b):
 def test_tiny_alpha_is_degenerate():
     with pytest.raises(ConstructionError, match="denominator degenerate"):
         build_approx(classify(1e-9, 2.0))
+
+
+@pytest.mark.parametrize("a,b", [(1e-5, 50.0), (3e-6, 50.0)])
+def test_coefficients_swamped_by_rounding_are_refused(a, b):
+    # the gaps g - p and t pass the degeneracy test, but the coefficients'
+    # relative error, about eps*b^2*(8 + ln b)/a^2, is 0.066 and 0.73 here:
+    # d2 came out 0.98657 and 1.00304 against mpmath's 0.99992 and 0.99998
+    with pytest.raises(ConstructionError, match=(
+            rf"^coefficients swamped by rounding for alpha={a!r}, beta={b!r}: "
+            r"estimated relative error [0-9.e-]+ > 1e-6$")):
+        build_approx(classify(a, b))
+
+
+def _coefficients_40_digits(a, b):
+    """n1, d1, d2 by the construction's formulas in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        gb, gbm = mpmath.gamma(b), mpmath.gamma(b - a)
+        g, p = gbm / gb, gb / mpmath.gamma(b + a)
+        u = (g - p) / (1 - g * gbm * mpmath.rgamma(b - 2 * a))
+        return [float(v) for v in (g * u / gbm, u + p, g * u)]
+
+
+def test_built_coefficients_are_within_1e_6_of_mpmath_at_small_alpha():
+    # seeded pairs around the rounding guard (alpha from 1e-6 to 1e-2): about
+    # half are refused, and each one built is within 1e-6 relative
+    rng = np.random.default_rng(5)
+    built = 0
+    for a, d in zip(10.0 ** rng.uniform(-6.0, -2.0, 200), 10.0 ** rng.uniform(-3.0, 2.2, 200)):
+        a, b = float(a), float(a + d)
+        try:
+            ap = build_approx(classify(a, b))
+        except ConstructionError:
+            continue
+        built += 1
+        want = _coefficients_40_digits(a, b)
+        assert [ap.n1, ap.d1, ap.d2] == pytest.approx(want, rel=1e-6, abs=0.0), (a, b)
+    assert 50 <= built <= 150
