@@ -4,12 +4,12 @@ The forward scan measures |A(x) - E_{alpha,beta}(-x)| over a grid; the
 inverse scan measures the distance between the algebraic inverse of the
 approximant and the true functional inverse obtained by bisecting the
 oracle. A report keeps the scan's four columns as read-only, C-contiguous
-float64 arrays and its worst point; its per-point `samples` tuples are built only when read.
+float64 arrays and its worst point; its per-point `samples` rows are built on
+each read, never kept.
 Reports serialize deterministically to CSV, formatted from the columns, or to
 a one-line summary.
 """
 
-import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -49,10 +49,10 @@ class ErrorReport:
     columns: tuple = field(repr=False)
     max_rel_error: float | None = None
 
-    @functools.cached_property
+    @property
     def samples(self) -> list:
-        """The rows as tuples of four floats, built from the columns on
-        first read; the scan and its summary never read them."""
+        """The rows as tuples of four floats, built from the columns on each
+        read, never kept; the scan and its summary never read them."""
         x, approx, oracle, err = self.columns
         return list(zip(x.tolist(), approx.tolist(), oracle.tolist(), err.tolist()))
 
@@ -123,10 +123,10 @@ def inverse_error_scan(params: MLParams, y_grid: GridSpec) -> ErrorReport:
     At (0.3, 0.9), y = 1e-4/Gamma(0.9) it is 4.2e-4 off the root and the
     algebraic inverse 6.3e-6 off, so the error reported is the bisection's.
     """
+    approx = build_approx(params)  # a pair past Gamma's overflow fails here, naming it
     hi = rgamma(params.beta)
     if y_grid.include_zero or y_grid.x_max > hi * (1.0 + 1e-12):
         raise DomainError(f"y grid must lie inside the inverse domain (0, {hi!r}]")
-    approx = build_approx(params)
     ys = np.minimum(y_grid.array, hi)
     x_alg, x_true = np.empty_like(ys), np.empty_like(ys)
     for i, y in enumerate(ys.tolist()):

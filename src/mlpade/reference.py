@@ -42,8 +42,9 @@ value depends on the calls before it, and the integrand's two powers of u on
 the contour's nodes, built on the first contour call. The series' exponents
 -k are one constant.
 
-`ml_taylor`, a plain double-precision Taylor sum for small x, is not used by
-the oracle; it remains as an independent check of the closed forms.
+The one-point views `ml_taylor`, a plain double-precision Taylor sum for
+small x, `ml_asymptotic` and `ml_closed_form` are called by no package code;
+they stay for the tests and the benchmark's tracer.
 """
 
 import functools

@@ -121,15 +121,14 @@ def _inverse_round_trip() -> bool:
 
 
 def _oracle_integrity() -> bool:
-    """ml_taylor against the closed forms, and the recurrence
-    E_{a,b}(-x) = -x E_{a,a+b}(-x) + 1/Gamma(b) over DEFAULT_GRID."""
-    xs = np.linspace(0.0, 2.0, 101).tolist()
+    """Each closed form against its pair's general route on [0, 2], and the
+    recurrence E_{a,b}(-x) = -x E_{a,a+b}(-x) + 1/Gamma(b) over DEFAULT_GRID."""
+    xs = np.linspace(0.0, 2.0, 101)
     for pair in list(WORKED) + [(1.0, 1.0)]:
         params = classify(*pair)
-        for x in xs:
-            diff = reference.ml_taylor(params, x) - reference.ml_closed_form(params, x)
-            if not abs(diff) <= 1e-10:
-                return False
+        general = special.piecewise(xs, *reference._pair_table(*params))
+        if not np.all(np.abs(reference.ml_oracle(params, xs) - general) <= 1e-10):
+            return False
     grid = harness.DEFAULT_GRID.array
     for a, b in [(0.4, 0.9), (0.7, 1.2), (0.55, 0.55)] + _random_pairs(20240818):
         lhs = reference.ml_oracle(classify(a, b), grid)

@@ -167,7 +167,7 @@ def report_outcome(f, *args) -> str:
         r = f(*args)
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
-    columns = [" ".join(map(float.hex, c)) for c in zip(*r.samples)]
+    columns = [" ".join(map(float.hex, c.tolist())) for c in r.columns]
     scalars = [r.max_abs_error, r.argmax_x, r.max_rel_error]
     return "ErrorReport " + " | ".join(
         columns + [repr(v) if v is None else float.hex(v) for v in scalars])

@@ -13,9 +13,10 @@ import time
 
 import pytest
 
-from mlpade import ConstructionError, Regime, build_approx, classify
+from mlpade import ConstructionError, Regime, build_approx, classify, reference
 from mlpade.fode import TwoTermSpec
 from mlpade.selftest import ROWS
+from mlpade.special import piecewise
 from paper_formulas import (
     approx_coeffs,
     coeffs_from_closed_form,
@@ -35,6 +36,14 @@ def test_release_row(row):
     ok = row.check()
     elapsed = time.perf_counter() - start
     report(row.label, f"{row.name}, {elapsed:.2f}s", ok and elapsed < 5.0)
+
+
+def test_oracle_integrity_row_catches_a_closed_form_off_by_1e_8(monkeypatch):
+    bounds, pieces = reference._CLOSED_FORMS[(0.5, 1.5)]
+    monkeypatch.setitem(reference._CLOSED_FORMS, (0.5, 1.5),
+                        ((), (lambda x: piecewise(x, bounds, pieces) + 1e-8,)))
+    row = next(row for row in ROWS if row.name == "oracle integrity")
+    assert row.check() is False
 
 
 def test_criterion_3_construction_cross_check():

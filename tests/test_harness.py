@@ -9,6 +9,7 @@ import pytest
 import mlpade.harness as harness
 from mlpade import (
     DEFAULT_GRID,
+    ConstructionError,
     DomainError,
     ErrorReport,
     GridSpec,
@@ -217,9 +218,12 @@ def test_report_columns_own_contiguous_memory():
             assert column.flags.owndata or column is report.grid.array
 
 
-def test_report_samples_are_built_once():
+def test_report_samples_are_built_on_each_read_and_never_kept():
     for report in _reports():
-        assert report.samples is report.samples
+        before = dict(vars(report))
+        rows = report.samples
+        assert vars(report) == before  # no attribute added, each one the same object
+        assert report.samples == rows and report.samples is not rows
 
 
 def test_csv_is_the_samples_in_shortest_form():
@@ -285,6 +289,13 @@ def test_inverse_scan_refuses_a_zero_y():
     # dropped, so 4 grid points gave 3 rows
     with pytest.raises(DomainError, match=r"inside the inverse domain \(0, "):
         inverse_error_scan(classify(0.5, 1.5), GridSpec(1e-3, 0.5, 3, include_zero=True))
+
+
+def test_inverse_scan_past_gamma_overflow_names_the_overflow():
+    # 1/Gamma(175) underflows to 0, so the grid test alone read "the inverse
+    # domain (0, 0.0]"; the pair is refused first, for its real cause
+    with pytest.raises(ConstructionError, match=r"Gamma\(175\.5\) overflows a double"):
+        inverse_error_scan(classify(0.5, 175.0), GridSpec(1e-300, 1e-200, 3))
 
 
 def test_inverse_scan_bisection_stop_is_absolute_in_y():

@@ -25,6 +25,7 @@ from mlpade.reference import (
     ml_closed_form, ml_taylor,
 )
 from mlpade.special import erfcx, piecewise, rgamma
+import talbot_reference
 from talbot_reference import ml_talbot
 
 # values frozen from an independent 60-digit mpmath series summation
@@ -239,6 +240,20 @@ def test_talbot_reference_matches_closed_forms():
         for x in (0.03, 0.7, 6.0):
             want = ml_closed_form(classify(a, b), x)
             assert ml_talbot(a, b, x) == pytest.approx(want, rel=1e-12, abs=1e-14), (a, b, x)
+
+
+def test_talbot_reference_resolves_a_large_beta_value(monkeypatch):
+    # E_{a,b}(-x) <= 1/Gamma(b) = 1.07e-156 here, about 1e-156 of the size of
+    # the Talbot terms: 30 digits return 8.5e-155, rounding; 30 plus the 156
+    # digits of Gamma(100) agree with the Taylor sum at the same precision
+    a, b, x = 0.666, 100.0, 1e-3
+    with mpmath.workdps(talbot_reference.working_digits(b)):
+        # term 40 is 2e-331, 1e-174 of the sum: the terms dropped change no double
+        want = float(mpmath.fsum((-mpmath.mpf(x)) ** k * mpmath.rgamma(mpmath.mpf(a) * k + b)
+                                 for k in range(40)))
+    assert ml_talbot(a, b, x) == pytest.approx(want, rel=1e-14, abs=0.0)
+    monkeypatch.setattr(talbot_reference, "working_digits", lambda beta: 30)
+    assert ml_talbot(a, b, x) > 10.0 * want
 
 
 def test_oracle_matches_independent_talbot_reference():
