@@ -6,11 +6,12 @@ instead of an overflow or NaN; past Gamma's overflow it returns 0 as well.
 
 `erfcx` and the closed forms are each one (bounds, pieces) table of
 expressions of a float or a 1-D array in non-decreasing order: `piecewise`
-picks a float's range or cuts the array into one slice per range, and
-`libm(x)` is `math` itself for a float and, for an array, each `math`
-function mapped over the entries (`libm_map`), so every entry equals the
-float call bit for bit. numpy's own exp and expm1 run SIMD loops whose last
-bits differ from libm's.
+picks a float's range or cuts the array into one slice per range, so every
+entry equals the float call bit for bit. Below x = 26 erfcx is arithmetic on a
+40-term `horner` polynomial, 4 times faster on an array than libm mapped over
+it and 0.7 us slower on a float. Elsewhere `libm(x)` is `math` for a float
+and, for an array, each `math` function mapped over the entries (`libm_map`):
+numpy's own exp and expm1 run SIMD loops whose last bits differ from libm's.
 """
 
 import math
@@ -30,11 +31,13 @@ __all__ = [
     "erfcx_series_tail",
     "is_nonpositive_integer",
     "libm_map",
+    "horner",
     "piecewise",
     "libm",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_RSQRT_PI = 1.0 / _SQRT_PI
 
 
 def libm_map(fn, v: np.ndarray) -> np.ndarray:
@@ -49,15 +52,23 @@ def libm_map(fn, v: np.ndarray) -> np.ndarray:
 _ARRAY_MATH = SimpleNamespace(
     exp=partial(libm_map, math.exp),
     expm1=partial(libm_map, math.expm1),
-    erf=partial(libm_map, math.erf),
-    erfc=partial(libm_map, math.erfc),
-    floor=np.floor,  # exact, as math.floor is
 )
 
 
 def libm(x):
     """The `math` module for a float x; for an array, its functions mapped."""
     return math if type(x) is float else _ARRAY_MATH
+
+
+def horner(coefs):
+    """The polynomial with coefficients coefs (finite, two or more, highest
+    power first) as a function of a float or an array z: straight-line Horner
+    steps, in place on one new array for an array, whose entries take the
+    float's + and * in order; a loop costs 40 terms 0.4 us more on a float."""
+    steps = "".join(f"    p *= z; p += {c!r}\n" for c in coefs[2:])
+    ns = {}
+    exec(f"def poly(z):\n    p = {coefs[0]!r} * z + {coefs[1]!r}\n{steps}    return p\n", ns)
+    return ns["poly"]
 
 
 def piecewise(x, bounds, pieces):
@@ -111,10 +122,10 @@ def rgamma(x: float) -> float:
 def erfcx(x):
     """Scaled complementary error function exp(x^2)*erfc(x), overflow-free, for
     x in [0, inf]: a float, or a 1-D float array or a `GridSpec`'s points
-    evaluated to the float call's value at every entry. Below 26, exp of
-    x^2 = xh^2 + (x - xh)(x + xh) split exactly (xh on 20 fractional bits, so
-    xh^2 is exact); from 26 up, 8 terms of the asymptotic series in 1/(2x^2),
-    whose 9th term is below 2e-19 there."""
+    evaluated to the float call's value at every entry. Below 26, Weideman's
+    series (SIAM J. Numer. Anal. 31 (1994)) at N = 40, within 9e-16 relative;
+    from 26 up, 8 terms of the asymptotic series in 1/(2x^2), whose 9th term
+    is below 2e-19 there."""
     x, order = argument(x, "erfcx", finite=False)
     return restore_order(_erfcx(x), order)
 
@@ -124,10 +135,28 @@ def _erfcx(x):
     return piecewise(x, _ERFCX[0], _ERFCX[1])
 
 
+# erfcx(x) = (2p(Z)/(L+x) + 1/sqrt(pi))/(L+x), Z = (L-x)/(L+x), L = sqrt(N/sqrt(2)):
+# Weideman's p, N = 40, highest power first (tests/make_erfcx_coefficients.py)
+_WEIDEMAN = (
+    -1.899694947394927e-15, 1.128073562364402e-15, 1.1357687198999241e-14, -5.409310282882142e-15,
+    -7.074086260286855e-14, 1.37256205867155e-14, 4.5329666782606727e-13, 1.2031458219387989e-13,
+    -2.907688342182867e-12, -2.7276023158200452e-12, 1.7714495214011192e-11, 3.47272670930455e-11,
+    -9.055124450928292e-11, -3.5632339865976533e-10, 2.1086006347066517e-10,
+    3.0177805400090707e-09, 3.2497465180436973e-09, -1.8315616783040462e-08, -6.35177348504429e-08,
+    1.4198642399935674e-08, 5.912136951899494e-07, 1.483566113220078e-06, -1.0660138984947143e-06,
+    -1.8007447144750956e-05, -5.591309264248318e-05, -3.939363145489569e-05, 0.0004398070159869668,
+    0.0027054056330737914, 0.010048186242783424, 0.029202916471241867, 0.07182361779074337,
+    0.15504263802479495, 0.29989437996150065, 0.5266528988277086, 0.8472174576593818,
+    1.2563815675765133, 1.7253830848179779, 2.201513794878312, 2.61605415276186,
+    2.8996245093897053,
+)
+_WEIDEMAN_L = math.sqrt(40.0 / math.sqrt(2.0))
+_weideman_p = horner(_WEIDEMAN)
+
+
 def _erfcx_near(x):
-    m = libm(x)
-    xh = m.floor(x * 1048576.0) / 1048576.0
-    return m.exp(xh * xh) * m.exp((x - xh) * (x + xh)) * m.erfc(x)
+    d = _WEIDEMAN_L + x
+    return (2.0 * _weideman_p((_WEIDEMAN_L - x) / d) / d + _RSQRT_PI) / d
 
 
 def _erfcx_far(x):

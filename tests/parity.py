@@ -11,9 +11,9 @@ name and `float.hex` (one per entry for an array; `NoneType None` for None),
 or the exception's class name and message. The sweep covers each float entry
 point and the oracle's three one-point views in `mlpade.reference`, each kind of
 argument (float, np.float64, np.float32, 0-d array, 1-D array, list, str),
-the edges of the admission tests (0, -0, subnormals, the smallest normal and
-its neighbour, 1e100 and its successor, 1e300, the largest double, +-inf,
-nan, -1, and the inverse's n0 edges), every bound of the oracle's route
+the edges of the admission tests (0, -0, subnormals in four decades, the
+smallest normal and its neighbour, 1e100 and its successor, 1e300, the
+largest double, +-inf, nan, -1, and the inverse's n0 edges), every bound of the oracle's route
 tables and the double below it (0.5, 26 and each pair's crossover
 40**alpha), seeded log-uniform draws, the relaxation prefactors, valid and
 not, and each pair's `error_scan` and `inverse_error_scan` reports on small
@@ -96,7 +96,7 @@ TINY = 2.2250738585072014e-308
 # the admission edges, and each bound of the oracle's route tables with the
 # double below it: 0.5 and 26 of the closed forms, each pair's crossover 40**alpha
 EDGES = [
-    0.0, -0.0, 5e-324, 1e-310, math.nextafter(TINY, 0.0), TINY, 1e-3,
+    0.0, -0.0, 5e-324, 1e-320, 1e-315, 1e-310, math.nextafter(TINY, 0.0), TINY, 1e-3,
     math.nextafter(0.5, 0.0), 0.5, 1.0, math.nextafter(26.0, 0.0), 26.0,
     1e100, math.nextafter(1e100, math.inf), 1e300, sys.float_info.max,
     math.inf, -math.inf, math.nan, -1.0,

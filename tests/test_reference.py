@@ -24,6 +24,7 @@ from mlpade.reference import (
     _CLOSED_FORMS, _MAX_TERMS, _NEG_K, _pair_table, _PairKernels, _term_counts, ml_asymptotic,
     ml_closed_form, ml_taylor,
 )
+from mlpade import special
 from mlpade.special import erfcx, piecewise, rgamma
 import talbot_reference
 from talbot_reference import ml_talbot
@@ -94,13 +95,24 @@ def test_closed_forms_at_zero_equal_rgamma_beta():
         assert ml_closed_form(classify(a, b), 0.0) == rgamma(b)
 
 
-@pytest.mark.parametrize("x", [1e-12, 1e-9, 1e-6, 1e-4, 0.49, 0.51, 1.0])
+def _erfcx_pair_references(x: float) -> tuple:
+    """E_{1/2,b}(-x) for b = 1, 3/2 and 1/2 by mpmath's erfc, at 40 digits beyond
+    those (1 - erfcx(x))/x cancels."""
+    with mpmath.workdps(40 + max(0, -math.floor(math.log10(x))) if x else 40):
+        xm = mpmath.mpf(x)
+        e = mpmath.exp(xm * xm) * mpmath.erfc(xm)
+        h32 = (1 - e) / xm if x else 2 / mpmath.sqrt(mpmath.pi)
+        return e, h32, 1 / mpmath.sqrt(mpmath.pi) - xm * e
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-315, 1e-310, 1e-12, 1e-9, 1e-6, 1e-4, 0.49, 0.51, 1.0])
 def test_closed_forms_free_of_small_x_cancellation(x):
     # (1/2, 3/2) is (1 - erfcx(x))/x and (1, 2) is (1 - e^-x)/x: both must
-    # keep full relative accuracy as x -> 0
+    # keep full relative accuracy as x -> 0, down to the subnormals, where a
+    # quotient by x of a value rounded near x loses digits
+    half = _erfcx_pair_references(x)[1]
     with mpmath.workdps(40):
         xm = mpmath.mpf(x)
-        half = (1 - mpmath.exp(xm * xm) * mpmath.erfc(xm)) / xm
         one = -mpmath.expm1(-xm) / xm
         for (a, b), want in (((0.5, 1.5), half), ((1.0, 2.0), one)):
             got = ml_closed_form(classify(a, b), x)
@@ -301,6 +313,41 @@ def test_closed_form_half_half_free_of_large_x_cancellation():
             got = ml_closed_form(params, x)
             assert abs(got - want) <= 1e-13 * abs(want), x
             assert ml_oracle(params, x) == got
+
+
+def test_erfcx_closed_forms_match_mpmath_densely():
+    # the arithmetic erfcx below 26 and the Taylor piece of (1/2, 3/2) below
+    # 0.5, on [0, 30] with subnormals and the doubles either side of each switch
+    rng = np.random.default_rng(28)
+    edges = [0.0, 5e-324, 1e-320, 1e-315, 1e-310, 1e-300, 1e-16, 30.0]
+    for s in (0.5, 26.0):
+        edges += [math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)]
+    xs = np.sort(np.concatenate([
+        edges, 10.0 ** rng.uniform(-323.0, 0.0, 150), rng.uniform(0.0, 0.5, 300),
+        rng.uniform(0.0, 30.0, 900), rng.uniform(25.0, 27.0, 100),
+    ]))
+    refs = [_erfcx_pair_references(x) for x in xs.tolist()]
+    for i, (b, relative) in enumerate(((1.0, True), (1.5, True), (0.5, False))):
+        params = classify(0.5, b)
+        got = ml_oracle(params, xs).tolist()
+        assert got == [ml_oracle(params, x) for x in xs.tolist()]
+        for x, g, r in zip(xs.tolist(), got, refs):
+            assert abs(g - r[i]) <= 1e-15 * (abs(r[i]) if relative else 1.0), (b, x, g)
+
+
+def test_erfcx_closed_forms_map_no_math_function_over_an_array(monkeypatch):
+    # below x = 26 erfcx and the (1/2, b) closed forms take only + - * /, so an
+    # array call makes no Python-level call per entry
+    class NoArrayMath:
+        def __getattr__(self, name):
+            raise AssertionError(f"math.{name} mapped over an array's entries")
+
+    monkeypatch.setattr(special, "_ARRAY_MATH", NoArrayMath())
+    for b in (1.0, 1.5, 0.5):
+        ml_oracle(classify(0.5, b), DEFAULT_GRID)
+    erfcx(DEFAULT_GRID)
+    with pytest.raises(AssertionError, match="math.expm1 mapped"):  # the patch takes hold
+        ml_oracle(classify(1.0, 2.0), DEFAULT_GRID)
 
 
 ORACLE_PAIRS = CLOSED_FORM_PAIRS + [(0.3, 0.9), (0.7, 1.3), (0.05, 0.5), (0.35, 0.35), (1.0, 3.0), (0.9, 2.5)]

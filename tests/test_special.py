@@ -1,12 +1,14 @@
 """Tests for the gamma-family and error-function primitives."""
 
+import inspect
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from mlpade import ConstructionError, DomainError, build_approx, classify
+from make_erfcx_coefficients import source, weideman_coefficients
+from mlpade import ConstructionError, DomainError, build_approx, classify, special
 from mlpade.special import erfcx, gamma, is_nonpositive_integer, libm_map, rgamma
 
 SQRT_PI = math.sqrt(math.pi)
@@ -117,6 +119,14 @@ def test_erfcx_matches_mpmath():
     for ys in (xs, sorted(xs, reverse=True), np.repeat(xs[::40], 3), xs[500:] + [0.0] + xs[:500], mixed):
         ys = np.array(ys)
         assert erfcx(ys).tolist() == [erfcx(y) for y in ys.tolist()]
+
+
+def test_erfcx_coefficients_are_weidemans():
+    # the frozen table is the one tests/make_erfcx_coefficients.py derives,
+    # written as it prints it
+    coefs = weideman_coefficients()
+    assert coefs == special._WEIDEMAN
+    assert source(coefs) in inspect.getsource(special)
 
 
 def test_gamma_rgamma_match_mpmath():
