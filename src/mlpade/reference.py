@@ -30,14 +30,16 @@ error <= 1e-6 beyond it.
 Each pair's route is one table, (bounds, pieces), that `special.piecewise`
 runs on a float and on an array alike: pieces[i] holds on [bounds[i-1],
 bounds[i]). A closed form's table is a row of `_CLOSED_FORMS`, each piece an
-expression of a float or an array: at alpha = 1/2 +, -, * and / alone below
-x = 26 (`special.erfcx` and, for (1/2, 3/2) below 0.5, a 25-term Taylor sum),
-within 1e-15 of 40-digit mpmath; at alpha = 1 exp or expm1 from `special.libm`.
-Any other pair's table is ((5e-324, 40**alpha), (1/Gamma(beta), contour,
-series)), an entry of a memo of the last 128 pairs, and its two kernels run a
-float on a one-entry array. An array is evaluated in one pass and in
-non-decreasing order, each range a contiguous slice, each entry equal to the
-float call bit for bit, into a C-contiguous float64 array of its own. Each
+expression of a float or an array, within 1e-15 of 40-digit mpmath: at
+alpha = 1/2 +, -, * and / alone below x = 26 (`special.erfcx` and, for
+(1/2, 3/2) below 0.5, a 25-term Taylor sum); at (1, 2) a 16-term Taylor sum
+below 0.5, then e^-x as 2^-n times a polynomial in r = x - n ln 2, and 1/x
+from 37.5, where e^-x is below half an ulp of 1; at (1, 1) exp from
+`special.libm`. Any other pair's table is ((5e-324, 40**alpha),
+(1/Gamma(beta), contour, series)), an entry of a memo of the last 128 pairs,
+and its two kernels run a float on a one-entry array. An array is evaluated
+in one pass and in non-decreasing order, each range a contiguous slice, each
+entry equal to the float call bit for bit, into a C-contiguous float64 array of its own. Each
 kernel keeps its x-independent part: the series' coefficients and term counts,
 rebuilt from the first term when a call needs more terms than the table holds,
 so that no value depends on the calls before it, and the integrand's two
@@ -314,8 +316,45 @@ def _hh_far(x):
     return erfcx_series_tail(x) / _SQRT_PI
 
 
-def _one_two_nonzero(x):
-    return -libm(x).expm1(-x) / x
+# E_{1,2}(-x) = (1 - e^-x)/x below x = 0.5: sum_{k<=15} (-x)^k/(k+1)!, whose term
+# 16 is below 5e-20 there (tests/make_erfcx_coefficients.py)
+_E12_NEAR = (
+    -4.779477332387385e-14, 7.647163731819816e-13, -1.1470745597729725e-11, 1.6059043836821613e-10,
+    -2.08767569878681e-09, 2.505210838544172e-08, -2.755731922398589e-07, 2.7557319223985893e-06,
+    -2.48015873015873e-05, 0.0001984126984126984, -0.001388888888888889, 0.008333333333333333,
+    -0.041666666666666664, 0.16666666666666666, -0.5, 1.0,
+)
+_one_two_near = horner(_E12_NEAR)
+# e^-r for |r| <= 0.347: its degree-13 Chebyshev interpolant, within 6e-22
+# (tests/make_erfcx_coefficients.py)
+_EXP_NEG_R = (
+    -1.6093608030939776e-10, 2.0925150328703404e-09, -2.505204593696216e-08, 2.755723907411129e-07,
+    -2.7557319281435042e-06, 2.480158736739977e-05, -0.0001984126984124154, 0.0013888888888861151,
+    -0.00833333333333334, 0.04166666666666672, -0.16666666666666666, 0.5, -1.0, 1.0,
+)
+_exp_neg_r = horner(_EXP_NEG_R)
+# ln 2 = _LN2_HI + _LN2_LO to 1e-27, _LN2_HI with its low 21 bits zero, so that
+# n*_LN2_HI is exact for n < 2^21 (Cody and Waite's split, as in fdlibm)
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_INV_LN2 = 1.0 / math.log(2.0)
+
+
+def _one_two_mid(x):
+    # (1 - e^-x)/x with e^-x = 2^-n e^-r, n = rint(x/ln 2) and r = x - n ln 2 in
+    # [-0.347, 0.347]; round and np.rint both round half to even, and the 2^-n is exact
+    if type(x) is float:
+        n = round(x * _INV_LN2)
+        e = math.ldexp(_exp_neg_r((x - n * _LN2_HI) - n * _LN2_LO), -n)
+    else:
+        n = np.rint(x * _INV_LN2)
+        e = np.ldexp(_exp_neg_r((x - n * _LN2_HI) - n * _LN2_LO), -n.astype(np.intp))
+    return (1.0 - e) / x
+
+
+def _one_two_far(x):
+    # e^-x is below half an ulp of 1 from x = 54 ln 2 = 37.43 on: expm1(-x) is -1.0
+    return 1.0 / x
 
 
 # the (bounds, pieces) of the pairs with an erfcx/exp closed form
@@ -324,7 +363,7 @@ _CLOSED_FORMS = {
     (0.5, 1.5): ((5e-324, 0.5), (_RGAMMA_THREE_HALVES, _h32_near, _h32_far)),
     (0.5, 0.5): ((26.0,), (_hh_near, _hh_far)),
     (1.0, 1.0): ((), (_exp_neg,)),
-    (1.0, 2.0): ((5e-324,), (1.0, _one_two_nonzero)),
+    (1.0, 2.0): ((5e-324, 0.5, 37.5), (1.0, _one_two_near, _one_two_mid, _one_two_far)),
 }
 
 

@@ -315,17 +315,22 @@ def test_closed_form_half_half_free_of_large_x_cancellation():
             assert ml_oracle(params, x) == got
 
 
+def _dense_points(seed: int, switches: tuple) -> np.ndarray:
+    """[0, 30] with subnormals and the doubles either side of each switch."""
+    rng = np.random.default_rng(seed)
+    edges = [0.0, 5e-324, 1e-320, 1e-315, 1e-310, 1e-300, 1e-16, 30.0]
+    for s in switches:
+        edges += [math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)]
+    return np.concatenate([
+        edges, 10.0 ** rng.uniform(-323.0, 0.0, 150), rng.uniform(0.0, 0.5, 300),
+        rng.uniform(0.0, 30.0, 900), rng.uniform(25.0, 27.0, 100),
+    ])
+
+
 def test_erfcx_closed_forms_match_mpmath_densely():
     # the arithmetic erfcx below 26 and the Taylor piece of (1/2, 3/2) below
     # 0.5, on [0, 30] with subnormals and the doubles either side of each switch
-    rng = np.random.default_rng(28)
-    edges = [0.0, 5e-324, 1e-320, 1e-315, 1e-310, 1e-300, 1e-16, 30.0]
-    for s in (0.5, 26.0):
-        edges += [math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)]
-    xs = np.sort(np.concatenate([
-        edges, 10.0 ** rng.uniform(-323.0, 0.0, 150), rng.uniform(0.0, 0.5, 300),
-        rng.uniform(0.0, 30.0, 900), rng.uniform(25.0, 27.0, 100),
-    ]))
+    xs = np.sort(_dense_points(28, (0.5, 26.0)))
     refs = [_erfcx_pair_references(x) for x in xs.tolist()]
     for i, (b, relative) in enumerate(((1.0, True), (1.5, True), (0.5, False))):
         params = classify(0.5, b)
@@ -335,19 +340,54 @@ def test_erfcx_closed_forms_match_mpmath_densely():
             assert abs(g - r[i]) <= 1e-15 * (abs(r[i]) if relative else 1.0), (b, x, g)
 
 
+def test_one_two_closed_form_matches_mpmath_densely():
+    # (1 - e^-x)/x by its Taylor polynomial below 0.5 and by 2^-n e^-r below
+    # 37.5, on the erfcx closed forms' points, about 37.5 and up to x = 1e4
+    rng = np.random.default_rng(37)
+    xs = np.sort(np.concatenate([
+        _dense_points(28, (0.5, 26.0, 37.5)), rng.uniform(30.0, 45.0, 300),
+        10.0 ** rng.uniform(1.0, 4.0, 300), [1e4],
+    ]))
+    params = classify(1.0, 2.0)
+    got = ml_oracle(params, xs).tolist()
+    assert got == [ml_oracle(params, x) for x in xs.tolist()]
+    with mpmath.workdps(40):
+        for x, g in zip(xs.tolist(), got):
+            want = -mpmath.expm1(-mpmath.mpf(x)) / x if x else 1
+            assert abs(g - want) <= 1e-15 * want, (x, g)
+            if x >= 37.5:  # where expm1(-x) rounds to -1.0
+                assert g == 1.0 / x, (x, g)
+
+
+def test_closed_form_half_half_keeps_its_subnormal_values():
+    # E_{1/2,1/2}(-x) ~ 1/(2 sqrt(pi) x^2) is a nonzero subnormal up to x = 3e161,
+    # while x*x overflows from x = 1.3e154, where forming it gave 0. The bound
+    # allows the spacing of subnormals, 5e-324, at the smallest value.
+    params = classify(0.5, 0.5)
+    xs = [1.4e154, 1e155, 1e158, 1e161]
+    got = ml_oracle(params, np.array(xs)).tolist()
+    assert got == [ml_oracle(params, x) for x in xs]
+    with mpmath.workdps(40):
+        for x, g in zip(xs, got):
+            v = 1 / (2 * mpmath.mpf(x) ** 2)
+            want = v * (1 - 3 * v) / mpmath.sqrt(mpmath.pi)  # the next term is below 1e-600
+            assert abs(g - want) <= 1e-6 * want + 5e-324, (x, g, want)
+
+
 def test_erfcx_closed_forms_map_no_math_function_over_an_array(monkeypatch):
-    # below x = 26 erfcx and the (1/2, b) closed forms take only + - * /, so an
-    # array call makes no Python-level call per entry
+    # below x = 26 erfcx and the (1/2, b) closed forms, and (1, 2) everywhere,
+    # take only + - * / and exact scalings by 2^-n, so an array call makes no
+    # Python-level call per entry
     class NoArrayMath:
         def __getattr__(self, name):
             raise AssertionError(f"math.{name} mapped over an array's entries")
 
     monkeypatch.setattr(special, "_ARRAY_MATH", NoArrayMath())
-    for b in (1.0, 1.5, 0.5):
-        ml_oracle(classify(0.5, b), DEFAULT_GRID)
+    for a, b in ((0.5, 1.0), (0.5, 1.5), (0.5, 0.5), (1.0, 2.0)):
+        ml_oracle(classify(a, b), DEFAULT_GRID)
     erfcx(DEFAULT_GRID)
-    with pytest.raises(AssertionError, match="math.expm1 mapped"):  # the patch takes hold
-        ml_oracle(classify(1.0, 2.0), DEFAULT_GRID)
+    with pytest.raises(AssertionError, match="math.exp mapped"):  # the patch takes hold
+        ml_oracle(classify(1.0, 1.0), DEFAULT_GRID)
 
 
 ORACLE_PAIRS = CLOSED_FORM_PAIRS + [(0.3, 0.9), (0.7, 1.3), (0.05, 0.5), (0.35, 0.35), (1.0, 3.0), (0.9, 2.5)]

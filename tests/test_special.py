@@ -7,8 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from make_erfcx_coefficients import source, weideman_coefficients
-from mlpade import ConstructionError, DomainError, build_approx, classify, special
+from make_erfcx_coefficients import TABLES, source
+from mlpade import ConstructionError, DomainError, build_approx, classify, reference, special
 from mlpade.special import erfcx, gamma, is_nonpositive_integer, libm_map, rgamma
 
 SQRT_PI = math.sqrt(math.pi)
@@ -122,11 +122,14 @@ def test_erfcx_matches_mpmath():
 
 
 def test_erfcx_coefficients_are_weidemans():
-    # the frozen table is the one tests/make_erfcx_coefficients.py derives,
-    # written as it prints it
-    coefs = weideman_coefficients()
-    assert coefs == special._WEIDEMAN
-    assert source(coefs) in inspect.getsource(special)
+    # each frozen table is the one tests/make_erfcx_coefficients.py derives,
+    # written as it prints it, and its truncation error is below 1e-17
+    modules = {"special": special, "reference": reference}
+    for name, (module, derive) in TABLES.items():
+        coefs, tail = derive()
+        assert coefs == getattr(modules[module], name), name
+        assert source(name, coefs) in inspect.getsource(modules[module]), name
+        assert tail < 1e-17, name
 
 
 def test_gamma_rgamma_match_mpmath():
